@@ -9,14 +9,14 @@ GO ?= go
 BENCHTIME ?= 1s
 # Output of bench-json. bench-smoke redirects it to BENCH_SMOKE.json
 # (untracked) so a smoke run can never clobber the checked-in 1s baseline
-# BENCH_PR10.json with single-iteration noise. BENCH_PR3/PR4/PR5/PR7.json
+# BENCH_PR15.json with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10.json
 # are kept for the perf trajectory.
-BENCHJSON_OUT ?= BENCH_PR10.json
+BENCHJSON_OUT ?= BENCH_PR15.json
 # Baseline bench-diff compares against, and the regression thresholds.
 # Smoke runs are single-iteration, so the defaults are deliberately loose:
 # the diff is a tripwire for order-of-magnitude regressions and alloc-count
 # jumps, not a timing oracle (diff two 1s bench-json runs for that).
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR15.json
 BENCH_DIFF_THRESHOLD ?= 1.0
 BENCH_DIFF_ALLOCS_THRESHOLD ?= 0.25
 
@@ -25,15 +25,19 @@ BENCH_DIFF_ALLOCS_THRESHOLD ?= 0.25
 COVER_PROFILE ?= cover.out
 COVER_FLOOR ?= 80
 
+# Per-target fuzzing time for `make fuzz` (go test -fuzztime syntax). Like
+# BENCHTIME, the default is a smoke run; raise it for a real campaign.
+FUZZTIME ?= 10s
+
 # Profile capture knobs: which benchmark `make profile` drives and for how
 # long. The default targets the tracker inner loop — the profile that
 # motivated the SigTable underflow shortcut (see DESIGN.md).
 PROFILE_BENCH ?= BenchmarkTrackerObserve
 PROFILE_TIME ?= 2s
 
-.PHONY: verify build test lint detlint detlint-json race cover bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
+.PHONY: verify build test lint detlint detlint-json race cover fuzz bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
 
-ci: verify lint race cover bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
+ci: verify lint race cover fuzz bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
 
 verify: build test ## tier-1: go build ./... && go test ./...
 
@@ -70,14 +74,28 @@ cover: ## module-wide coverage profile with a total-coverage floor
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 		{ echo "coverage below floor"; exit 1; }
 
+# go test -fuzz takes one target in one package per run, so the target
+# finds every Fuzz function in the module's test files and runs each in turn.
+fuzz: ## run every Fuzz* target in the module for $(FUZZTIME) each
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz $$target ($$dir)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done
+
 bench: ## full benchmark suite (population + shard sweeps included)
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 bench-smoke: ## one iteration of every benchmark (emits BENCH_SMOKE.json), so benches can't bit-rot
 	$(MAKE) bench-json BENCHTIME=1x BENCHJSON_OUT=BENCH_SMOKE.json
 
+# bench-json pins GOMAXPROCS to 1 (-cpu 1): go test appends "-N" to every
+# bench name when GOMAXPROCS is N > 1, and benchjson diff lines results up
+# by name, so an unpinned run on a multi-core host (or CI) shares no names
+# with a baseline taken elsewhere and gates nothing.
 bench-json: ## machine-readable benchmark results -> $(BENCHJSON_OUT)
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . > bench-raw.out
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -cpu 1 . > bench-raw.out
 	$(GO) run ./cmd/benchjson < bench-raw.out > $(BENCHJSON_OUT).tmp
 	@mv $(BENCHJSON_OUT).tmp $(BENCHJSON_OUT)
 	@rm -f bench-raw.out

@@ -12,6 +12,7 @@ package retail
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -37,16 +38,15 @@ func NewBasket(items []ItemID) Basket {
 	if len(items) == 0 {
 		return Basket{}
 	}
-	b := make(Basket, len(items))
-	copy(b, items)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	out := b[:1]
-	for _, it := range b[1:] {
-		if it != out[len(out)-1] {
-			out = append(out, it)
-		}
-	}
-	return out
+	return Normalize(slices.Clone(items))
+}
+
+// Normalize sorts items in place, drops duplicates, and returns the
+// normalized prefix of items — the copy-free path for a caller that owns
+// the slice, such as a decoder carving baskets out of one buffer.
+func Normalize(items []ItemID) Basket {
+	slices.Sort(items)
+	return slices.Compact(Basket(items))
 }
 
 // Contains reports whether the basket contains item p. The basket must be

@@ -41,6 +41,26 @@ func TestNewBasketDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestNormalizeInPlace pins the copy-free normalizer against NewBasket:
+// same items, and the result is a prefix of the caller's slice.
+func TestNormalizeInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		in := make([]ItemID, r.Intn(12))
+		for i := range in {
+			in[i] = ItemID(r.Intn(6) + 1)
+		}
+		want := NewBasket(in)
+		got := Normalize(in)
+		if !got.Equal(want) {
+			t.Fatalf("Normalize(%v) = %v, want %v", in, got, want)
+		}
+		if len(got) > 0 && &got[0] != &in[0] {
+			t.Fatalf("Normalize(%v) did not reuse the input's backing array", in)
+		}
+	}
+}
+
 func TestBasketContains(t *testing.T) {
 	b := NewBasket([]ItemID{2, 4, 6, 8})
 	for _, p := range []ItemID{2, 4, 6, 8} {

@@ -55,7 +55,12 @@ func TestServerStabilityBatchDifferential(t *testing.T) {
 			if code := postReceipts(t, ts.URL, feed, nil); code != http.StatusOK {
 				t.Fatalf("POST receipts: status %d", code)
 			}
-			waitWatermark(t, s, 1)
+			// Every receipt must be ingested before the batch query: the
+			// single GETs below run later, so a still-draining feed would
+			// let them see later windows than the batch did.
+			waitServe(t, "feed drained", func() bool {
+				return s.Ingestor().Metrics().ReceiptsIngested == uint64(len(feed))
+			})
 
 			// Every customer in the feed — scored or not — plus ids the
 			// daemon has never seen, interleaved so shard fan-in and

@@ -235,7 +235,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	default:
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := decodeIngest(r.Body, s.cfg.MaxBatch)
+	events, err := decodeReceipts(r.Body, s.cfg.MaxBatch)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -244,7 +244,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 		}
 		return writeError(w, status, "%v", err)
 	}
-	events := toEvents(req.Receipts)
 	// Stale receipts (window already closed, or pre-origin) can never be
 	// scored: the monitor would only surface them as barrier errors, so
 	// refuse them here and report the count.

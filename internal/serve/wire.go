@@ -174,7 +174,9 @@ func EncodeAlerts(w io.Writer, alerts []stream.SeqAlert) error {
 // configured per-POST receipt limit; the HTTP layer maps it to 413.
 var ErrBatchTooLarge = errors.New("batch exceeds the per-request receipt limit")
 
-// decodeIngest parses and validates a POST /v1/receipts body.
+// decodeIngest parses and validates a POST /v1/receipts body with
+// encoding/json. It is the reference decoder, and the path for every body
+// decodeReceipts' one-pass parse does not take.
 func decodeIngest(r io.Reader, maxBatch int) (*IngestRequest, error) {
 	dec := json.NewDecoder(r)
 	var req IngestRequest

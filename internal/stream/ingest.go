@@ -830,12 +830,19 @@ func (i *Ingestor) saveAttempt() bool {
 		i.flushBarrier()
 	}
 	i.journalFlush()
-	i.saves.Add(1)
-	if err := i.writeStateFile(); err != nil {
+	return i.saveState() == nil
+}
+
+// saveState writes the state file and counts the attempt once it has
+// finished, so a reader that sees Saves above SaveErrors finds a state
+// file on disk.
+func (i *Ingestor) saveState() error {
+	err := i.writeStateFile()
+	if err != nil {
 		i.saveErrs.Add(1)
-		return false
 	}
-	return true
+	i.saves.Add(1)
+	return err
 }
 
 func (i *Ingestor) writeStateFile() error {
@@ -893,11 +900,7 @@ func (i *Ingestor) Close() error {
 	i.publish(alerts)
 	i.journalFlush()
 	if i.cfg.StatePath != "" {
-		i.saves.Add(1)
-		if err := i.writeStateFile(); err != nil {
-			i.saveErrs.Add(1)
-			return err
-		}
+		return i.saveState()
 	}
 	return nil
 }

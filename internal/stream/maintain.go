@@ -222,12 +222,20 @@ func (i *Ingestor) openJournal() error {
 
 // journalAdd buffers one accepted receipt for the next journal segment.
 // Spend is not part of the serving wire format, so journaled receipts
-// carry zero spend; the monitor never reads it.
+// carry zero spend; the monitor never reads it. The buffer shares the
+// event's basket instead of copying and re-sorting it on the drainer:
+// Enqueue's contract freezes baskets, and the HTTP decoder hands over
+// normalized ones, so only a raw basket from a library caller costs a
+// normalized copy here.
 func (i *Ingestor) journalAdd(ev ReceiptEvent) {
 	if i.journalBuf == nil {
 		return
 	}
-	if err := i.journalBuf.Add(ev.Customer, ev.Time, ev.Items, 0); err != nil {
+	items := ev.Items
+	if !items.IsNormalized() {
+		items = retail.NewBasket(items)
+	}
+	if err := i.journalBuf.AddReceipt(ev.Customer, retail.Receipt{Time: ev.Time, Items: items}); err != nil {
 		i.journalErrs.Add(1)
 		return
 	}
