@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"testing"
@@ -858,6 +860,64 @@ func BenchmarkServeIngest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFollowCatchUp measures a follow-mode restart: a fresh Ingestor
+// tails an STB1 chain holding the shared dataset as one segment per month
+// and catches up over the whole chain. Its first poll decodes every
+// segment, the drainer orders the receipts by time and feeds the monitor,
+// and the op ends once every receipt is ingested and the ingestor closed.
+// This is the catch-up half of the serving path; BenchmarkServeIngest
+// covers the HTTP half.
+func BenchmarkFollowCatchUp(b *testing.B) {
+	ds := sharedDataset(b)
+	grid, err := window.NewGrid(ds.Config.Start, window.Span{Months: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var months []*store.Builder
+	ds.Store.Each(func(h retail.History) bool {
+		for _, r := range h.Receipts {
+			m := grid.MonthIndex(r.Time)
+			for len(months) <= m {
+				months = append(months, store.NewBuilder())
+			}
+			if err := months[m].AddReceipt(h.Customer, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return true
+	})
+	var chain bytes.Buffer
+	for _, m := range months {
+		if err := m.Build().WriteBinary(&chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "chain.stb")
+	if err := os.WriteFile(path, chain.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	receipts := uint64(ds.Store.NumReceipts())
+	b.ResetTimer()
+	b.ReportMetric(float64(receipts), "receipts/op")
+	for i := 0; i < b.N; i++ {
+		ing, err := stream.NewIngestor(stream.IngestorConfig{
+			Monitor:        serveConfig(grid).Monitor,
+			Shards:         1,
+			FollowPath:     path,
+			FollowInterval: time.Millisecond,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for ing.Metrics().ReceiptsIngested < receipts {
+			time.Sleep(time.Millisecond)
+		}
+		if err := ing.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/gautrais/stability"
+	"github.com/gautrais/stability/internal/store"
 )
 
 // cmdMonitor replays a receipt dataset in timestamp order through the
@@ -86,19 +86,16 @@ func cmdMonitor(args []string) error {
 		id stability.CustomerID
 		r  stability.Receipt
 	}
-	var feed []event
+	feed := make([]event, 0, st.NumReceipts())
 	skipped := 0
-	st.Each(func(h stability.History) bool {
-		for _, r := range h.Receipts {
-			if grid.Index(r.Time) < resumeK {
-				skipped++ // window already scored by a previous -state run
-				continue
-			}
-			feed = append(feed, event{h.Customer, r})
+	store.EachByTime(st, func(id stability.CustomerID, r stability.Receipt) bool {
+		if grid.Index(r.Time) < resumeK {
+			skipped++ // window already scored by a previous -state run
+		} else {
+			feed = append(feed, event{id, r})
 		}
 		return true
 	})
-	sort.SliceStable(feed, func(i, j int) bool { return feed[i].r.Time.Before(feed[j].r.Time) })
 	if skipped > 0 {
 		fmt.Printf("resuming at window %d: %d receipts already processed, %d new\n", resumeK, skipped, len(feed))
 	}
@@ -267,26 +264,20 @@ func runFollow(p followParams) error {
 				fmt.Printf("resuming at window %d\n", resumeK)
 			}
 		}
-		type event struct {
-			id stability.CustomerID
-			r  stability.Receipt
-		}
-		var feed []event
-		batch.Each(func(h stability.History) bool {
-			for _, r := range h.Receipts {
-				if grid.Index(r.Time) < lastK {
-					skippedLate++
-					continue
-				}
-				feed = append(feed, event{h.Customer, r})
+		var ingestErr error
+		store.EachByTime(batch, func(id stability.CustomerID, r stability.Receipt) bool {
+			if grid.Index(r.Time) < lastK {
+				skippedLate++
+				return true
+			}
+			if err := monitor.Ingest(id, r.Time, r.Items); err != nil {
+				ingestErr = fmt.Errorf("ingest customer %d: %w", id, err)
+				return false
 			}
 			return true
 		})
-		sort.SliceStable(feed, func(i, j int) bool { return feed[i].r.Time.Before(feed[j].r.Time) })
-		for _, ev := range feed {
-			if err := monitor.Ingest(ev.id, ev.r.Time, ev.r.Items); err != nil {
-				return fmt.Errorf("ingest customer %d: %w", ev.id, err)
-			}
+		if ingestErr != nil {
+			return ingestErr
 		}
 		if max.After(maxSeen) {
 			maxSeen = max

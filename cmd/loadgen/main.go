@@ -50,6 +50,7 @@ import (
 
 	"github.com/gautrais/stability"
 	"github.com/gautrais/stability/internal/population"
+	"github.com/gautrais/stability/internal/store"
 )
 
 func main() {
@@ -350,8 +351,8 @@ func applyChurn(feed []receipt, grid stability.Grid, frac float64, months int) [
 	return out
 }
 
-// sortedFeed flattens the dataset into one time-sorted receipt slice and
-// anchors the window grid at the earliest receipt.
+// sortedFeed flattens the dataset into one receipt slice ordered by time,
+// then customer id, and anchors the window grid at the earliest receipt.
 func sortedFeed(ds *stability.SampleDataset, span int) ([]receipt, stability.Grid, error) {
 	min, _, ok := ds.Store.TimeRange()
 	if !ok {
@@ -361,18 +362,15 @@ func sortedFeed(ds *stability.SampleDataset, span int) ([]receipt, stability.Gri
 	if err != nil {
 		return nil, stability.Grid{}, err
 	}
-	var feed []receipt
-	ds.Store.Each(func(h stability.History) bool {
-		for _, r := range h.Receipts {
-			items := make([]uint32, len(r.Items))
-			for i, it := range r.Items {
-				items[i] = uint32(it)
-			}
-			feed = append(feed, receipt{Customer: uint64(h.Customer), Time: r.Time, Items: items})
+	feed := make([]receipt, 0, ds.Store.NumReceipts())
+	store.EachByTime(ds.Store, func(id stability.CustomerID, r stability.Receipt) bool {
+		items := make([]uint32, len(r.Items))
+		for i, it := range r.Items {
+			items[i] = uint32(it)
 		}
+		feed = append(feed, receipt{Customer: uint64(id), Time: r.Time, Items: items})
 		return true
 	})
-	sort.SliceStable(feed, func(i, j int) bool { return feed[i].Time.Before(feed[j].Time) })
 	return feed, grid, nil
 }
 

@@ -3,8 +3,14 @@ package store
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/gautrais/stability/internal/retail"
 )
 
 // FuzzReadCSV asserts the lenient CSV reader never panics or errors on
@@ -124,5 +130,191 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add("not json\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		_, _ = ReadJSONL(strings.NewReader(input))
+	})
+}
+
+// timeSortedReference is the order EachByTime must reproduce: every
+// receipt flattened in Each order, then stably sorted by time.
+func timeSortedReference(s *Store) []visit {
+	var out []visit
+	s.Each(func(h retail.History) bool {
+		for _, r := range h.Receipts {
+			out = append(out, visit{h.Customer, r})
+		}
+		return true
+	})
+	sort.SliceStable(out, func(a, b int) bool { return out[a].r.Time.Before(out[b].r.Time) })
+	return out
+}
+
+type visit struct {
+	id retail.CustomerID
+	r  retail.Receipt
+}
+
+// fuzzZones are the locations fuzzed receipts are stamped in: equal
+// instants in different zones must tie, and zones must not leak into the
+// order.
+var fuzzZones = []*time.Location{
+	time.UTC,
+	time.FixedZone("IST", 5*3600+1800),
+	time.FixedZone("PST", -8*3600),
+}
+
+// FuzzEachByTime builds a store from the fuzz bytes and checks that the
+// k-way merge visits exactly the sequence a stable time sort of the
+// flattened store gives. Each 3-byte record is one receipt: customer (few
+// ids, so histories interleave), a coarse time (so timestamps collide
+// within and across customers) and a zone. The first byte picks absent
+// customers to add as empty histories and the second a visit count after
+// which fn stops the iteration (0 = never).
+func FuzzEachByTime(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0})       // one customer, all receipts at one instant
+	f.Add([]byte{0, 0, 1, 3, 0, 2, 3, 0, 3, 3, 0, 1, 3}) // three customers tied at one instant
+	f.Add([]byte{0x55, 3, 4, 9, 0, 4, 9, 1, 2, 9, 2, 2, 5, 0, 6, 1, 7})
+	f.Add([]byte{0, 0, 1, 200, 0, 1, 200, 1, 2, 100, 2, 2, 50, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var empties, stopAt byte
+		if len(data) >= 2 {
+			empties, stopAt, data = data[0], data[1], data[2:]
+		}
+		b := NewBuilder()
+		for i := 0; i+2 < len(data); i += 3 {
+			id := retail.CustomerID(data[i] % 6)
+			// Hours from a base instant; the zone changes the wall clock,
+			// never the instant, so cross-zone collisions are common.
+			ts := day(0).Add(time.Duration(data[i+1]%32) * time.Hour).In(fuzzZones[int(data[i+2])%len(fuzzZones)])
+			// A unique spend tells receipts with equal time and basket apart.
+			if err := b.Add(id, ts, []retail.ItemID{retail.ItemID(data[i+2]/3%4 + 1)}, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built := b.Build()
+		hs := append([]retail.History(nil), built.histories...)
+		for c := 0; c < 8; c++ {
+			if empties&(1<<c) == 0 {
+				continue
+			}
+			if _, ok := built.index[retail.CustomerID(c)]; !ok {
+				hs = append(hs, retail.History{Customer: retail.CustomerID(c)})
+			}
+		}
+		sort.Slice(hs, func(a, b int) bool { return hs[a].Customer < hs[b].Customer })
+		s := assemble(hs)
+
+		want := timeSortedReference(s)
+		if stopAt > 0 && int(stopAt) < len(want) {
+			want = want[:stopAt]
+		}
+		var got []visit
+		EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
+			got = append(got, visit{id, r})
+			return stopAt == 0 || len(got) < int(stopAt)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("visited %d receipts, want %d", len(got), len(want))
+		}
+		for k := range want {
+			g, w := got[k], want[k]
+			if g.id != w.id || g.r.Spend != w.r.Spend || !g.r.Time.Equal(w.r.Time) ||
+				g.r.Time.Location() != w.r.Time.Location() || !g.r.Items.Equal(w.r.Items) {
+				t.Fatalf("visit %d: got customer %d at %v (spend %v), want customer %d at %v (spend %v)",
+					k, g.id, g.r.Time, g.r.Spend, w.id, w.r.Time, w.r.Spend)
+			}
+		}
+	})
+}
+
+// FuzzFollowerPoll appends arbitrary bytes after a valid two-segment chain
+// the follower has already consumed, then polls a few times. Poll must
+// never panic, a failed poll must leave Offset where it was, and after
+// every successful poll the receipts delivered so far must equal
+// ReadBinary of the file's first Offset bytes: whatever the tail holds,
+// the follower neither invents nor skips a receipt of a complete segment.
+func FuzzFollowerPoll(f *testing.F) {
+	var chain, extra bytes.Buffer
+	for _, s := range []*Store{seededStore(33, 4, 5, 300), seededStore(34, 3, 4, 300)} {
+		if err := s.WriteBinary(&chain); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := seededStore(35, 2, 3, 300).WriteBinary(&extra); err != nil {
+		f.Fatal(err)
+	}
+	seg := extra.Bytes()
+	f.Add([]byte{})
+	f.Add(seg)                                             // one more complete segment
+	f.Add(seg[:len(seg)/2])                                // torn segment
+	f.Add(append(append([]byte(nil), seg...), seg[:7]...)) // complete segment, then a torn one
+	f.Add(append(append([]byte(nil), seg...), "XXXXXXXX"...))
+	f.Add([]byte("STB1\x01\x05\x01\x00\x00\x00\x00\x00\x00\x00\xf0\xbf\x00")) // negative spend
+	f.Add([]byte("NOPE"))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "chain.stb")
+		if err := os.WriteFile(path, chain.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fol := NewFollower(nil, path)
+		delivered := NewBuilder()
+		poll := func() error {
+			before := fol.Offset()
+			st, err := fol.Poll()
+			if err != nil {
+				if fol.Offset() != before {
+					t.Fatalf("failed poll moved the offset from %d to %d: %v", before, fol.Offset(), err)
+				}
+				return err
+			}
+			if st != nil {
+				st.Each(func(h retail.History) bool {
+					for _, r := range h.Receipts {
+						if err := delivered.AddReceipt(h.Customer, r); err != nil {
+							t.Fatalf("delivered receipt does not re-add: %v", err)
+						}
+					}
+					return true
+				})
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix, err := ReadBinary(bytes.NewReader(data[:fol.Offset()]))
+			if err != nil {
+				t.Fatalf("the first %d bytes the follower consumed do not decode: %v", fol.Offset(), err)
+			}
+			var want, got bytes.Buffer
+			if err := prefix.WriteBinary(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := delivered.Build().WriteBinary(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("receipts delivered through offset %d differ from ReadBinary of that prefix", fol.Offset())
+			}
+			return nil
+		}
+		if err := poll(); err != nil || fol.Offset() != int64(chain.Len()) {
+			t.Fatalf("valid chain: offset %d of %d, err %v", fol.Offset(), chain.Len(), err)
+		}
+		fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fh.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A poll that delivers segments before a bad one stops at the bad
+		// boundary; the next poll reports it, so three polls reach every
+		// outcome.
+		for k := 0; k < 3; k++ {
+			poll()
+		}
 	})
 }

@@ -76,6 +76,80 @@ func (s *Store) Each(fn func(h retail.History) bool) {
 	}
 }
 
+// EachByTime calls fn for every receipt of s ordered by time, then customer
+// id, then position in the customer's history. fn must not mutate the
+// receipt. Iteration stops early if fn returns false.
+//
+// The order is exactly what flattening s with Each and stably sorting the
+// result by time gives, without the sort: every history is already a
+// chronological run, so a k-way merge of the runs suffices. The merge keeps
+// a heap of run heads keyed by time, with ties going to the lower run index;
+// runs are in ascending customer order, so a time tie goes to the lower
+// customer id, and a run advances only after its earlier receipts were
+// visited.
+func EachByTime(s *Store, fn func(id retail.CustomerID, r retail.Receipt) bool) {
+	hs := s.histories
+	h := make(runHeap, 0, len(hs))
+	for run := range hs {
+		if rs := hs[run].Receipts; len(rs) > 0 {
+			h = append(h, runHead{t: rs[0].Time, run: run})
+		}
+	}
+	for j := len(h)/2 - 1; j >= 0; j-- {
+		h.down(j)
+	}
+	for len(h) > 0 {
+		top := &h[0]
+		hist := &hs[top.run]
+		if !fn(hist.Customer, hist.Receipts[top.pos]) {
+			return
+		}
+		if top.pos++; top.pos < len(hist.Receipts) {
+			top.t = hist.Receipts[top.pos].Time
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
+}
+
+// runHead is one history's next unvisited receipt in EachByTime's merge.
+type runHead struct {
+	t   time.Time // time of receipt pos
+	run int       // index into Store.histories
+	pos int       // next receipt of the run
+}
+
+// before orders run heads by time, then run index.
+func (x *runHead) before(y *runHead) bool {
+	if c := x.t.Compare(y.t); c != 0 {
+		return c < 0
+	}
+	return x.run < y.run
+}
+
+// runHeap is a binary min-heap of run heads ordered by before.
+type runHeap []runHead
+
+// down restores the heap property below j.
+func (h runHeap) down(j int) {
+	for {
+		m := 2*j + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[j]) {
+			return
+		}
+		h[j], h[m] = h[m], h[j]
+		j = m
+	}
+}
+
 // Scan returns the receipts of one customer within [from, to). The returned
 // slice aliases the store and must not be mutated.
 func (s *Store) Scan(id retail.CustomerID, from, to time.Time) ([]retail.Receipt, error) {

@@ -872,6 +872,8 @@ func (i *Ingestor) writeStateFile() error {
 // Close. Windows past the watermark stay open in the snapshot — their
 // pending baskets persist — so a restored ingestor resumes losslessly.
 func (i *Ingestor) WriteSnapshot(w io.Writer) error {
+	i.monMu.RLock()
+	defer i.monMu.RUnlock()
 	return i.mon.WriteSnapshot(w)
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	iofs "io/fs"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -331,28 +330,25 @@ func (i *Ingestor) followPoll() {
 
 // processFollowBatch turns one polled store delta into the event feed:
 // receipts in already-closed windows are skipped (exactly the `monitor
-// -follow` staleness rule), the rest are stably time-sorted and handed to
-// the standard process loop, whose month-advance barriers implement the
-// conservative close rule. Store.Each iterates customers in ascending id
-// order with chronological receipts per customer, so equal timestamps
-// break ties by customer id — the same total order a sequential replay of
-// the file uses, making poll batching invisible in the output.
+// -follow` staleness rule), the rest are visited in time order by
+// store.EachByTime and handed to the standard process loop, whose
+// month-advance barriers implement the conservative close rule. Equal
+// timestamps break ties by customer id, then history position — the same
+// total order a sequential replay of the file uses, making poll batching
+// invisible in the output. The event slice lives only for the call: a
+// catch-up poll can hand over the whole chain at once.
 func (i *Ingestor) processFollowBatch(s *store.Store) {
 	minK := i.lastClosedK + 1
-	var evs []ReceiptEvent
-	s.Each(func(h retail.History) bool {
-		for _, r := range h.Receipts {
-			if r.Time.Before(i.grid.origin) || i.windowOfMonth(i.monthIndex(r.Time)) < minK {
-				continue
-			}
-			evs = append(evs, ReceiptEvent{Customer: h.Customer, Time: r.Time, Items: r.Items})
+	evs := make([]ReceiptEvent, 0, s.NumReceipts())
+	store.EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
+		if !r.Time.Before(i.grid.origin) && i.windowOfMonth(i.monthIndex(r.Time)) >= minK {
+			evs = append(evs, ReceiptEvent{Customer: id, Time: r.Time, Items: r.Items})
 		}
 		return true
 	})
 	if len(evs) == 0 {
 		return
 	}
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].Time.Before(evs[b].Time) })
 	i.process(evs)
 }
 

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -114,6 +116,77 @@ func TestFollowModeMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
+// TestFollowModeCatchUpOverlappingSegments starts a follower on a chain
+// whose segments all span the same months, so the first poll merges
+// receipts from every segment into each customer's history. The alert log
+// and SMN1 bytes must equal a sequential replay in the order a stable time
+// sort of the decoded file gives: time, then customer id, then history
+// position. Any order that is not chronological across customers moves
+// the month barriers and shows up here; the exact tie order, which the
+// monitor cannot observe, is pinned by store's FuzzEachByTime.
+func TestFollowModeCatchUpOverlappingSegments(t *testing.T) {
+	raw := randomFeed(t, 55, 12, 700)
+	const segments = 4
+	parts := make([][]feedEvent, segments)
+	for k, ev := range raw {
+		parts[k%segments] = append(parts[k%segments], ev)
+	}
+	dir := t.TempDir()
+	chain := filepath.Join(dir, "chain.stb")
+	for _, p := range parts {
+		appendFeedSegment(t, chain, p)
+	}
+	data, err := os.ReadFile(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := store.ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feed []feedEvent
+	decoded.Each(func(h retail.History) bool {
+		for _, r := range h.Receipts {
+			feed = append(feed, feedEvent{id: h.Customer, t: r.Time, items: r.Items})
+		}
+		return true
+	})
+	sort.SliceStable(feed, func(a, b int) bool { return feed[a].t.Before(feed[b].t) })
+	wantAlerts, wantSnap := replayIngestReference(t, ingestorConfig(t, 1).Monitor, feed)
+	if len(wantAlerts) == 0 {
+		t.Fatal("reference produced no alerts; feed too tame to prove anything")
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		sub := t.TempDir()
+		stb := filepath.Join(sub, "feed.stb")
+		state := filepath.Join(sub, "mon.smn")
+		if err := os.WriteFile(stb, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ing, err := NewIngestor(followConfig(t, shards, stb, state))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "follower to catch up", func() bool {
+			return ing.Metrics().ReceiptsIngested == uint64(len(feed))
+		})
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := drainLog(t, ing); !alertsEqual(wantAlerts, got) {
+			t.Errorf("shards=%d: catch-up alert log differs from time-ordered replay (%d vs %d alerts)",
+				shards, len(got), len(wantAlerts))
+		}
+		snap, err := os.ReadFile(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantSnap, snap) {
+			t.Errorf("shards=%d: catch-up SMN1 state differs from time-ordered replay", shards)
+		}
+	}
+}
+
 // TestFollowModeResyncUnderCompaction compacts the tailed file out from
 // under a mid-tail follower, then keeps appending: the daemon must detect
 // the rewrite, resync by replaying the compacted file with already-
@@ -166,6 +239,88 @@ func TestFollowModeResyncUnderCompaction(t *testing.T) {
 		if !bytes.Equal(wantSnap, snap) {
 			t.Errorf("shards=%d: SMN1 state across resync differs from sequential replay", shards)
 		}
+	}
+}
+
+// TestFollowModeResyncWhileSnapshotting loops WriteSnapshot from another
+// goroutine while the tailed file is compacted five times underneath a
+// live follower. Each compaction makes the drainer swap in a fresh monitor
+// and close the old one; a snapshot must never read the monitor field
+// unlocked or park on an old monitor's stopped shards. Run under -race to
+// check the first; a hang checks the second. The output must still equal
+// the sequential replay.
+func TestFollowModeResyncWhileSnapshotting(t *testing.T) {
+	feed := randomFeed(t, 54, 10, 600)
+	wantAlerts, wantSnap := replayIngestReference(t, ingestorConfig(t, 1).Monitor, feed)
+	const rounds = 5
+	step := len(feed) / (rounds + 1)
+	dir := t.TempDir()
+	stb := filepath.Join(dir, "feed.stb")
+	state := filepath.Join(dir, "mon.smn")
+	appendFeedSegment(t, stb, feed[:step])
+	ing, err := NewIngestor(followConfig(t, 2, stb, state))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				snapErr <- nil
+				return
+			default:
+			}
+			if err := ing.WriteSnapshot(io.Discard); err != nil {
+				snapErr <- err
+				return
+			}
+		}
+	}()
+	// ingested counts every receipt the drainer processed: each segment
+	// once when tailed, plus the whole file again on every resync replay.
+	ingested := step
+	waitFor(t, "follower to consume the first segment", func() bool {
+		return ing.Metrics().ReceiptsIngested == uint64(ingested)
+	})
+	for r := 1; r <= rounds; r++ {
+		// A second segment makes the chain compactable to a smaller file.
+		appendFeedSegment(t, stb, feed[r*step:(r+1)*step])
+		ingested += step
+		waitFor(t, "follower to consume the appended segment", func() bool {
+			return ing.Metrics().ReceiptsIngested == uint64(ingested)
+		})
+		if _, err := store.CompactFile(nil, stb, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		ingested += (r + 1) * step
+		waitFor(t, "resync replay to finish", func() bool {
+			m := ing.Metrics()
+			return m.FollowResyncs == uint64(r) && m.ReceiptsIngested == uint64(ingested)
+		})
+	}
+	appendFeedSegment(t, stb, feed[(rounds+1)*step:])
+	ingested += len(feed) - (rounds+1)*step
+	waitFor(t, "follower to consume the tail", func() bool {
+		return ing.Metrics().ReceiptsIngested == uint64(ingested)
+	})
+	close(stop)
+	if err := <-snapErr; err != nil {
+		t.Fatalf("WriteSnapshot during resyncs: %v", err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainLog(t, ing); !alertsEqual(wantAlerts, got) {
+		t.Errorf("alert log across resyncs differs from sequential replay (%d vs %d alerts)", len(got), len(wantAlerts))
+	}
+	snap, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantSnap, snap) {
+		t.Error("SMN1 state across resyncs differs from sequential replay")
 	}
 }
 
