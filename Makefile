@@ -9,14 +9,14 @@ GO ?= go
 BENCHTIME ?= 1s
 # Output of bench-json. bench-smoke redirects it to BENCH_SMOKE.json
 # (untracked) so a smoke run can never clobber the checked-in 1s baseline
-# BENCH_PR16.json with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10/
-# PR15.json are kept for the perf trajectory.
-BENCHJSON_OUT ?= BENCH_PR16.json
+# BENCH_PR17.json with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10/
+# PR15/PR16.json are kept for the perf trajectory.
+BENCHJSON_OUT ?= BENCH_PR17.json
 # Baseline bench-diff compares against, and the regression thresholds.
 # Smoke runs are single-iteration, so the defaults are deliberately loose:
 # the diff is a tripwire for order-of-magnitude regressions and alloc-count
 # jumps, not a timing oracle (diff two 1s bench-json runs for that).
-BENCH_BASELINE ?= BENCH_PR16.json
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_DIFF_THRESHOLD ?= 1.0
 BENCH_DIFF_ALLOCS_THRESHOLD ?= 0.25
 

@@ -48,6 +48,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -211,30 +212,48 @@ func serveUntilSignal(cfg config, ln net.Listener, stderr *os.File) error {
 		}
 		defer dbg.Close()
 	}
+	// Requests derive their contexts from base, which shutdown cancels
+	// first: long-polls and SSE streams end on r.Context().Done(), so
+	// they do not hold the drain, while a request still reading its body
+	// or enqueueing is not interrupted.
+	base, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
 		ReadTimeout:       cfg.readTimeout,
 		ReadHeaderTimeout: cfg.readHeaderTimeout,
 		IdleTimeout:       cfg.idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return base },
 		// WriteTimeout stays 0: serve arms per-request write deadlines and
 		// rolls them forward on the streaming paths, which bounds stalled
 		// clients without cutting healthy SSE streams off mid-flight.
 	}
 
+	// shutdown stops accepting and waits, bounded, for in-flight handlers
+	// to return. It runs once: on signal, off this stack via AfterFunc (no
+	// raw goroutine needed), and again below, where a second call waits
+	// for the first to finish.
+	var shutdownOnce sync.Once
+	shutdown := func() {
+		shutdownOnce.Do(func() {
+			cancelBase()
+			sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			_ = httpSrv.Shutdown(sctx)
+		})
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// On signal: stop accepting and drain in-flight handlers, bounded. No
-	// raw goroutine needed — AfterFunc runs the shutdown off this stack.
-	stopShutdown := context.AfterFunc(ctx, func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(sctx)
-	})
+	stopShutdown := context.AfterFunc(ctx, shutdown)
 	defer stopShutdown()
 
 	fmt.Fprintf(stderr, "attritiond: listening on %s (policy %s, %d-batch queue, state %q)\n",
 		ln.Addr(), cfg.serve.Policy, cfg.serve.QueueBatches, cfg.serve.StatePath)
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
+	err = httpSrv.Serve(ln)
+	// Serve returns as soon as Shutdown begins (or the listener fails),
+	// while handlers may still run; wait until they have returned.
+	shutdown()
+	if err != http.ErrServerClosed {
 		srv.Close()
 		return err
 	}

@@ -43,6 +43,24 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// bootDaemon runs serveUntilSignal with -state on a loopback listener and
+// returns the listener's address and a channel that receives
+// serveUntilSignal's result.
+func bootDaemon(t *testing.T, state string, stderr *os.File) (string, chan error) {
+	t.Helper()
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-origin", "2012-05", "-state", state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- serveUntilSignal(cfg, ln, stderr) }()
+	return ln.Addr().String(), done
+}
+
 // TestDaemonSignalShutdown boots the real daemon on a loopback listener,
 // feeds it over HTTP, delivers SIGTERM, and checks the shutdown path:
 // serveUntilSignal returns cleanly and the state file holds the drained
@@ -56,17 +74,8 @@ func TestDaemonSignalShutdown(t *testing.T) {
 	defer stderr.Close()
 
 	boot := func() (string, chan error) {
-		cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-origin", "2012-05", "-state", state})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", cfg.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- serveUntilSignal(cfg, ln, stderr) }()
-		return "http://" + ln.Addr().String(), done
+		addr, done := bootDaemon(t, state, stderr)
+		return "http://" + addr, done
 	}
 
 	base, done := boot()

@@ -143,6 +143,9 @@ func ReadTrackerSnapshot(r io.Reader) (*Tracker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read windows: %w", err)
 	}
+	if windows > math.MaxInt32 {
+		return nil, fmt.Errorf("core: implausible window count %d", windows)
+	}
 	t.windows = int32(windows)
 	if t.started, err = getB(); err != nil {
 		return nil, fmt.Errorf("core: read started: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -120,5 +121,17 @@ func TestReadTrackerSnapshotErrors(t *testing.T) {
 	}
 	if _, err := ReadTrackerSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Fatal("zero alpha accepted")
+	}
+	// A window count past the tracker's int32 counters must be refused, not
+	// truncated: truncated, an accepted snapshot wrote back item counts
+	// above its window count, which the reader then refused.
+	const windowsAt = 14 // magic, alpha, policy, one-byte maxBlame
+	if full[windowsAt] != 2 {
+		t.Fatalf("snapshot layout moved: byte %d is %d, want the window count 2", windowsAt, full[windowsAt])
+	}
+	bad = binary.AppendUvarint(append([]byte{}, full[:windowsAt]...), 1<<31)
+	bad = append(bad, full[windowsAt+1:]...)
+	if _, err := ReadTrackerSnapshot(bytes.NewReader(bad)); err == nil {
+		t.Fatal("window count 1<<31 accepted")
 	}
 }

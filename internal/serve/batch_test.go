@@ -2,11 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/gautrais/stability/internal/retail"
+	"github.com/gautrais/stability/internal/stream"
 )
 
 // postBatch POSTs an NDJSON stability batch and returns the status code and
@@ -130,4 +136,111 @@ func TestServerStabilityBatchValidation(t *testing.T) {
 	if string(body) != want {
 		t.Errorf("unknown customer line = %q, want %q", body, want)
 	}
+}
+
+// TestServerStabilityBatchConcurrent posts distinct batches from several
+// goroutines at once, so the pooled scratch is reused across requests in
+// flight: an answer that still referenced another request's ids, rows or
+// lines would stop matching that batch's sequential answer (or race, under
+// -race).
+func TestServerStabilityBatchConcurrent(t *testing.T) {
+	const workers, rounds = 4, 20
+	s, ts := testServer(t, nil)
+	feed := testFeed(t, 11, 40, 600)
+	if code := postReceipts(t, ts.URL, feed, nil); code != http.StatusOK {
+		t.Fatalf("POST receipts: status %d", code)
+	}
+	waitServe(t, "feed drained", func() bool {
+		return s.Ingestor().Metrics().ReceiptsIngested == uint64(len(feed))
+	})
+	var bodies, wants []string
+	for n := 1; n <= 7; n++ {
+		var req strings.Builder
+		for k, rc := range feed[:n*40] {
+			if k%n == 0 {
+				fmt.Fprintf(&req, "{\"customer\":%d}\n", rc.Customer+uint64(k%2))
+			}
+		}
+		code, want := postBatch(t, ts.URL, req.String())
+		if code != http.StatusOK {
+			t.Fatalf("batch: status %d", code)
+		}
+		bodies, wants = append(bodies, req.String()), append(wants, string(want))
+	}
+	if all := strings.Join(wants, ""); !strings.Contains(all, `"stability"`) || !strings.Contains(all, `"error"`) {
+		t.Fatal("the batches need scored and unknown customers both")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := (w + r) % len(bodies)
+				resp, err := http.Post(ts.URL+"/v1/stability:batch", "application/x-ndjson", strings.NewReader(bodies[k]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || string(got) != wants[k] {
+					t.Errorf("batch %d: answer %q (error %v), want %q", k, got, err, wants[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzBatchAnswerLine is the differential check of the append-style answer
+// encoder: for any customer, stability bits and window, a line appendRow
+// writes must be the bytes json.Encoder writes for the same
+// StabilityResponse, or ErrorResponse when the customer is not found. A
+// row appendRow declines must be one json.Encoder fails on, so the
+// response ends where it always has. Each row is appended twice, the
+// second time through the suffix memo the first one filled.
+func FuzzBatchAnswerLine(f *testing.F) {
+	for _, v := range []float64{
+		0, 1, 0.5, 0.7071067811865476, 1.0 / 3, 2.5e-3,
+		1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-10, 1e-100,
+		1e21, math.Nextafter(1e21, 0), 1e22, math.MaxFloat64,
+		5e-324, math.SmallestNonzeroFloat64 * 12345, 2.2250738585072014e-308,
+		math.Copysign(0, -1), -1e-7, -0.25, -1e21,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(uint64(42), math.Float64bits(v), int32(3), true)
+	}
+	// Windows at the edges of years 0-9999 on the test grid: 47925 ends in
+	// year 10000 and -12075 starts in year -1, so json.Encoder fails on both.
+	for _, k := range []int32{-1, 0, 47924, 47925, -12074, -12075, math.MaxInt32, math.MinInt32} {
+		f.Add(uint64(7), math.Float64bits(0.5), k, true)
+	}
+	f.Add(uint64(0), uint64(0), int32(0), false)
+	f.Add(uint64(math.MaxUint64), math.Float64bits(math.NaN()), int32(math.MaxInt32), false)
+	grid := testGrid(f)
+	f.Fuzz(func(t *testing.T, customer, bits uint64, k int32, ok bool) {
+		row := stream.CustomerStability{Customer: retail.CustomerID(customer), Value: math.Float64frombits(bits), GridIndex: int(k), OK: ok}
+		var v any = ErrorResponse{Error: fmt.Sprintf("customer %d unknown or not yet scored", customer)}
+		if ok {
+			v = stabilityResponse(grid, customer, row.Value, row.GridIndex)
+		}
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(v)
+		sc := batchPool.New().(*batchScratch)
+		for pass := 0; pass < 2; pass++ {
+			got, took := sc.appendRow([]byte("x"), grid, row)
+			switch {
+			case !took && wantErr == nil:
+				t.Fatalf("pass %d: declined a row json.Encoder writes as %q", pass, want.Bytes())
+			case !took && string(got) != "x":
+				t.Fatalf("pass %d: declined, but appended %q", pass, got[1:])
+			case took && wantErr != nil:
+				t.Fatalf("pass %d: wrote %q, json.Encoder fails: %v", pass, got[1:], wantErr)
+			case took && !bytes.Equal(got[1:], want.Bytes()):
+				t.Fatalf("pass %d: line %q, json.Encoder writes %q", pass, got[1:], want.Bytes())
+			}
+		}
+	})
 }

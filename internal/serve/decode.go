@@ -32,22 +32,35 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 func decodeReceipts(body io.Reader, maxBatch int) ([]stream.ReceiptEvent, error) {
 	sc := scratchPool.Get().(*ingestScratch)
 	defer scratchPool.Put(sc)
-	sc.body.Reset()
-	_, readErr := sc.body.ReadFrom(body)
+	return decodeBody(&sc.body, body,
+		func(b []byte) ([]stream.ReceiptEvent, bool) { return sc.parse(b, maxBatch) },
+		func(r io.Reader) ([]stream.ReceiptEvent, error) {
+			req, err := decodeIngest(r, maxBatch)
+			if err != nil {
+				return nil, err
+			}
+			return toEvents(req.Receipts), nil
+		})
+}
+
+// decodeBody reads body into buf and returns what parse makes of the
+// bytes. When the read failed, or parse declines the bytes, reference
+// decodes instead: it reads the same bytes followed by the same read
+// error, so its answer, error text included, is the one it would give
+// reading body itself.
+func decodeBody[T any](buf *bytes.Buffer, body io.Reader, parse func([]byte) (T, bool), reference func(io.Reader) (T, error)) (T, error) {
+	buf.Reset()
+	_, readErr := buf.ReadFrom(body)
 	if readErr == nil {
-		if events, ok := sc.parse(sc.body.Bytes(), maxBatch); ok {
-			return events, nil
+		if v, ok := parse(buf.Bytes()); ok {
+			return v, nil
 		}
 	}
-	var replay io.Reader = bytes.NewReader(sc.body.Bytes())
+	var replay io.Reader = bytes.NewReader(buf.Bytes())
 	if readErr != nil {
 		replay = io.MultiReader(replay, errReader{readErr})
 	}
-	req, err := decodeIngest(replay, maxBatch)
-	if err != nil {
-		return nil, err
-	}
-	return toEvents(req.Receipts), nil
+	return reference(replay)
 }
 
 // errReader replays a read error after the bytes read before it.

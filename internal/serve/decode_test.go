@@ -243,9 +243,55 @@ func FuzzDecodeIngest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatchQueries checks the POST /v1/stability:batch decoder: it
-// never panics, input over the cap fails with ErrBatchTooLarge, and
-// decoded ids survive a re-encode and decode unchanged.
+// queryBody is what json.Encoder writes for n batch queries: the shape
+// every client in this repository sends, with the extreme ids.
+func queryBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for k := 0; k < n; k++ {
+		id := uint64(k)*7919 + 1
+		switch k {
+		case 1:
+			id = 0
+		case 2:
+			id = math.MaxUint64
+		}
+		if err := enc.Encode(BatchStabilityQuery{Customer: id}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeQueriesFastPath pins that json.Encoder query streams take the
+// one-pass parse, so a silent fallback to decodeBatchQueries cannot hide a
+// regression, and that the parse gives the reference's ids.
+func TestDecodeQueriesFastPath(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 200} {
+		body := queryBody(t, n)
+		got, ok := new(batchScratch).parse(body, n)
+		if !ok {
+			t.Fatalf("n=%d: encoder body fell back:\n%s", n, body)
+		}
+		want, err := decodeBatchQueries(bytes.NewReader(body), n)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("n=%d: parsed %v, reference %v (error %v)", n, got, want, err)
+		}
+	}
+	// Other whitespace and no separator at all are JSON streams too.
+	if _, ok := new(batchScratch).parse([]byte(" {\"customer\" : 1}\r\n\t{\"customer\":2}{\"customer\":3} "), 0); !ok {
+		t.Fatal("whitespace-separated body fell back")
+	}
+}
+
+// FuzzDecodeBatchQueries is the differential check of the one-pass batch
+// decode: on every body, and on every body cut short by a read error
+// (limit > 0 puts it behind a MaxBytesReader of that many bytes),
+// decodeQueries must give the error text, or the ids, decodeBatchQueries
+// gives. It also checks the reference: it never panics, input over the
+// cap fails with ErrBatchTooLarge, and decoded ids survive a re-encode and
+// decode unchanged.
 func FuzzDecodeBatchQueries(f *testing.F) {
 	for _, s := range []string{
 		"", "{\"customer\":1}\n", "{\"customer\":1}\n{\"customer\":2}",
@@ -254,10 +300,37 @@ func FuzzDecodeBatchQueries(f *testing.F) {
 		strings.Repeat("{\"customer\":7}", fuzzMaxBatch+1) + "{nope}",
 		"{\"customer\":-1}", "{\"customer\":1.5}", "{nope}", "null\n{}", "[]",
 		"{\"Customer\":3,\"x\":[null,{\"y\":\"\\u00e9\"}]}", "{\"customer\":1}{",
+		// json.Encoder bodies at and over the cap.
+		string(queryBody(f, fuzzMaxBatch)), string(queryBody(f, fuzzMaxBatch+1)),
+		// Shapes the fast pass leaves alone: other, duplicate, escaped and
+		// case-folded keys, null, numbers it does not take.
+		"{}", "{\"customer\":1,\"customer\":2}", "{\"customer\":1,\"x\":2}",
+		"{\"\\u0063ustomer\":1}", "{\"CUSTOMER\":1}", "{\"cuſtomer\":1}",
+		"{\"customer\":null}", "null", "{\"customer\":01}", "{\"customer\":1e3}",
+		"{\"customer\":18446744073709551616}", "{\"customer\":\"1\"}",
+		"{\"customer\":1}x", "{\"customer\":1} ]", "\xef\xbb\xbf{\"customer\":1}",
 	} {
-		f.Add([]byte(s))
+		f.Add([]byte(s), uint16(0))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Add(queryBody(f, 3), uint16(20))
+	f.Add(queryBody(f, fuzzMaxBatch+1), uint16(60))
+	f.Fuzz(func(t *testing.T, body []byte, limit uint16) {
+		open := func() io.Reader {
+			var r io.Reader = bytes.NewReader(body)
+			if limit > 0 {
+				r = http.MaxBytesReader(nil, io.NopCloser(r), int64(limit))
+			}
+			return r
+		}
+		got, gotErr := new(batchScratch).decodeQueries(open(), fuzzMaxBatch)
+		want, wantErr := decodeBatchQueries(open(), fuzzMaxBatch)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, want %v", gotErr, wantErr)
+		}
+		if wantErr == nil && !slices.Equal(got, want) {
+			t.Fatalf("ids %v, want %v", got, want)
+		}
+
 		ids, err := decodeBatchQueries(bytes.NewReader(body), fuzzMaxBatch)
 		if all, allErr := decodeBatchQueries(bytes.NewReader(body), 0); allErr == nil && len(all) > fuzzMaxBatch && !errors.Is(err, ErrBatchTooLarge) {
 			t.Fatalf("%d queries over a cap of %d: error %v, want ErrBatchTooLarge", len(all), fuzzMaxBatch, err)

@@ -23,7 +23,7 @@ import (
 	"github.com/gautrais/stability/internal/window"
 )
 
-func testGrid(t *testing.T) window.Grid {
+func testGrid(t testing.TB) window.Grid {
 	t.Helper()
 	g, err := window.NewGrid(time.Date(2012, time.May, 1, 0, 0, 0, 0, time.UTC), window.Span{Months: 2})
 	if err != nil {

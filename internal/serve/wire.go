@@ -1,7 +1,9 @@
 // Wire types: the JSON request/response schemas of the attritiond HTTP
 // API, documented endpoint by endpoint in API.md (keep the two in sync).
 // Every response is encoded from a struct, so field order — and therefore
-// the response bytes for a given logical payload — is fixed.
+// the response bytes for a given logical payload — is fixed. The batch
+// endpoint appends its lines directly (batch.go), byte for byte what
+// json.Encoder writes for these structs.
 package serve
 
 import (
@@ -13,6 +15,7 @@ import (
 
 	"github.com/gautrais/stability/internal/retail"
 	"github.com/gautrais/stability/internal/stream"
+	"github.com/gautrais/stability/internal/window"
 )
 
 // ReceiptIn is one receipt of a POST /v1/receipts batch.
@@ -137,6 +140,13 @@ type MetricsResponse struct {
 	// Endpoints reports per-endpoint call counts and latency, sorted by
 	// endpoint name.
 	Endpoints []EndpointMetrics `json:"endpoints"`
+}
+
+// stabilityResponse is the answer for a customer whose last scored window
+// is k of grid.
+func stabilityResponse(grid window.Grid, id uint64, value float64, k int) StabilityResponse {
+	start, end := grid.Bounds(k)
+	return StabilityResponse{Customer: id, Stability: value, Window: k, Start: start, End: end}
 }
 
 // toAlertOut converts a log alert to its wire form.

@@ -300,12 +300,14 @@ type Ingestor struct {
 	cfg  IngestorConfig
 	grid gridInfo
 
-	// monMu guards mon and evictedBase against the follower-resync swap:
-	// the drainer replaces a resyncing monitor under the write lock while
-	// concurrent readers (Stability, Customers, Metrics, WriteSnapshot)
-	// hold the read lock for the duration of their call, so no reader can
-	// touch a monitor whose shard goroutines have been stopped. Outside
-	// follow mode the lock is never contended.
+	// monMu guards mon and evictedBase against the follower-resync swap
+	// and against Close: the drainer replaces a resyncing monitor, and
+	// Close stops the monitor's shards, under the write lock, while
+	// concurrent readers (Stability, Stabilities, Customers, Metrics,
+	// WriteSnapshot) hold the read lock for the duration of their call. So
+	// no reader can touch a monitor whose shard goroutines have been
+	// stopped, or find a monitor open that stops before its call reaches
+	// the shards. Outside follow mode and Close the lock is never contended.
 	monMu sync.RWMutex
 	mon   *ShardedMonitor
 	// evictedBase carries eviction counts across resync monitor swaps.
@@ -895,7 +897,9 @@ func (i *Ingestor) Close() error {
 	i.Resume()
 	close(i.stop)
 	<-i.drainDone
+	i.monMu.Lock()
 	alerts, err := i.mon.Close()
+	i.monMu.Unlock()
 	if err != nil {
 		i.ingestErrs.Add(1)
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,6 +460,54 @@ func TestIngestorLifecycle(t *testing.T) {
 	}
 	if ok, err := ing.Enqueue(nil); !ok || err != nil {
 		t.Fatalf("empty batch must be a no-op even when closed: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestIngestorCloseWithConcurrentReaders closes ingestors while readers
+// loop over Stabilities, Customers and Metrics. A reader that found the
+// monitor open just before Close stopped its shards would queue a control
+// message no shard reads any more and wait for it forever: every reader
+// must return once Close has.
+func TestIngestorCloseWithConcurrentReaders(t *testing.T) {
+	const rounds = 300
+	ids := []retail.CustomerID{1, 2, 3, 4}
+	readers := []func(*Ingestor){
+		func(ing *Ingestor) { ing.Stabilities(ids, nil) },
+		func(ing *Ingestor) { ing.Customers() },
+		func(ing *Ingestor) { ing.Metrics() },
+	}
+	for round := 0; round < rounds; round++ {
+		ing, err := NewIngestor(ingestorConfig(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var running sync.WaitGroup
+		done := make(chan struct{}, len(readers))
+		running.Add(len(readers))
+		for _, read := range readers {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				read(ing)
+				running.Done()
+				for !stop.Load() {
+					read(ing)
+				}
+			}()
+		}
+		running.Wait()
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		stop.Store(true)
+		timeout := time.After(10 * time.Second)
+		for range readers {
+			select {
+			case <-done:
+			case <-timeout:
+				t.Fatalf("round %d: a reader that overlapped Close never returned", round)
+			}
+		}
 	}
 }
 

@@ -256,7 +256,10 @@ func readMonitorStates(r io.Reader, cfg Config) (map[retail.CustomerID]*custStat
 	if count > maxCustomers {
 		return nil, fmt.Errorf("stream: implausible customer count %d", count)
 	}
-	states := make(map[retail.CustomerID]*custState, count)
+	// The count is untrusted until that many states have been read: pre-size
+	// for plausible populations only and grow past them, so a corrupt header
+	// fails on its missing states instead of on a huge allocation.
+	states := make(map[retail.CustomerID]*custState, min(count, 1<<16))
 	for i := uint64(0); i < count; i++ {
 		id, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -171,5 +173,27 @@ func TestReadMonitorSnapshotValidation(t *testing.T) {
 	}
 	if restored.Customers() != 1 {
 		t.Fatalf("restored customers = %d", restored.Customers())
+	}
+}
+
+// TestReadMonitorSnapshotHugeCount reads a bare SMN1 header that claims
+// 4,194,304 customers and holds none. The read must fail on the missing
+// states without first allocating for the claimed count (about 36 bytes
+// per claimed customer, 144 MiB here).
+func TestReadMonitorSnapshotHugeCount(t *testing.T) {
+	g, _ := window.NewGrid(time.Date(2012, time.May, 1, 0, 0, 0, 0, time.UTC), window.Span{Months: 2})
+	cfg := Config{Grid: g, Model: core.Options{Alpha: 2}, Beta: 0.5}
+	header := append([]byte{}, monitorMagic[:]...)
+	header = binary.LittleEndian.AppendUint64(header, uint64(g.Origin().Unix()))
+	header = binary.AppendUvarint(header, 2)
+	header = binary.AppendUvarint(header, 1<<22)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadMonitorSnapshot(bytes.NewReader(header), cfg); err == nil {
+		t.Fatal("header without states accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("reading a %d-byte header allocated %d MiB", len(header), alloc>>20)
 	}
 }
