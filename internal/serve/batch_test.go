@@ -198,9 +198,10 @@ func TestServerStabilityBatchConcurrent(t *testing.T) {
 // encoder: for any customer, stability bits and window, a line appendRow
 // writes must be the bytes json.Encoder writes for the same
 // StabilityResponse, or ErrorResponse when the customer is not found. A
-// row appendRow declines must be one json.Encoder fails on, so the
-// response ends where it always has. Each row is appended twice, the
-// second time through the suffix memo the first one filled.
+// row appendRow declines must be one json.Encoder fails on without
+// writing a byte, so ending the response there (writeRows) gives the bytes
+// it always has. Each row is appended twice, the second time through the
+// suffix memo the first one filled.
 func FuzzBatchAnswerLine(f *testing.F) {
 	for _, v := range []float64{
 		0, 1, 0.5, 0.7071067811865476, 1.0 / 3, 2.5e-3,
@@ -228,6 +229,9 @@ func FuzzBatchAnswerLine(f *testing.F) {
 		}
 		var want bytes.Buffer
 		wantErr := json.NewEncoder(&want).Encode(v)
+		if wantErr != nil && want.Len() != 0 {
+			t.Fatalf("json.Encoder failed (%v) after writing %q", wantErr, want.Bytes())
+		}
 		sc := batchPool.New().(*batchScratch)
 		for pass := 0; pass < 2; pass++ {
 			got, took := sc.appendRow([]byte("x"), grid, row)
@@ -243,4 +247,58 @@ func FuzzBatchAnswerLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBatchWriteRowsStopsAtRefusedRow pins where a response ends when a
+// row cannot be encoded: after the lines before it, exactly where a
+// json.Encoder writing one row at a time stops.
+func TestBatchWriteRowsStopsAtRefusedRow(t *testing.T) {
+	grid := testGrid(t)
+	for _, bad := range []stream.CustomerStability{
+		{Customer: 3, Value: math.NaN(), GridIndex: 3, OK: true},
+		{Customer: 3, Value: math.Inf(-1), GridIndex: 3, OK: true},
+		{Customer: 3, Value: 0.5, GridIndex: 47925, OK: true}, // ends in year 10000
+	} {
+		rows := []stream.CustomerStability{
+			{Customer: 1, Value: 0.5, GridIndex: 3, OK: true},
+			{Customer: 2},
+			bad,
+			{Customer: 4, Value: 0.25, GridIndex: 3, OK: true},
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, row := range rows {
+			var v any = ErrorResponse{Error: fmt.Sprintf("customer %d unknown or not yet scored", row.Customer)}
+			if row.OK {
+				v = stabilityResponse(grid, uint64(row.Customer), row.Value, row.GridIndex)
+			}
+			if enc.Encode(v) != nil {
+				break
+			}
+		}
+		if n := bytes.Count(want.Bytes(), []byte("\n")); n != 2 {
+			t.Fatalf("reference wrote %d lines before the refused row, want 2: %q", n, want.Bytes())
+		}
+		sc := batchPool.New().(*batchScratch)
+		sc.rows = rows
+		var got bytes.Buffer
+		sc.writeRows(&got, grid)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("row %+v: wrote %q, json.Encoder writes %q", bad, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestBatchScratchReleaseBoundsBody checks that a body buffer grown past a
+// MaxBatch body's size is not kept for the next request.
+func TestBatchScratchReleaseBoundsBody(t *testing.T) {
+	for _, size := range []int{4 << 10, batchBodyKeep, 8 << 20} {
+		sc := batchPool.New().(*batchScratch)
+		sc.body.Grow(size)
+		grown := sc.body.Cap()
+		sc.release()
+		if kept := sc.body.Cap(); (grown <= batchBodyKeep) != (kept == grown) || kept > batchBodyKeep {
+			t.Errorf("body grown to %d bytes: %d kept, want it kept only up to %d", grown, kept, batchBodyKeep)
+		}
+	}
 }

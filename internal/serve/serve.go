@@ -306,12 +306,13 @@ func (s *Server) handleStability(w http.ResponseWriter, r *http.Request) int {
 // Config.MaxBatch answer 413 before any lookup runs.
 //
 // The body is parsed in one pass and the answer lines are appended into a
-// pooled buffer (batch.go); decodeBatchQueries and json.Encoder remain the
-// reference for both, and take every input the fast path does not.
+// pooled buffer (batch.go). decodeBatchQueries and json.Encoder remain the
+// reference for both; decodeBatchQueries takes every body the one-pass
+// parse does not.
 func (s *Server) handleStabilityBatch(w http.ResponseWriter, r *http.Request) int {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
+	defer sc.release()
 	ids, err := sc.decodeQueries(r.Body, s.cfg.MaxBatch)
 	if err != nil {
 		status := http.StatusBadRequest
