@@ -582,6 +582,24 @@ func BenchmarkStoreSnapshotWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSnapshotRead measures binary decoding throughput: one
+// ReadBinary of the shared dataset's single-segment snapshot.
+func BenchmarkStoreSnapshotRead(b *testing.B) {
+	ds := sharedDataset(b)
+	var snap bytes.Buffer
+	if err := ds.Store.WriteBinary(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.ReportMetric(float64(ds.Store.NumReceipts()), "receipts/op")
+	for i := 0; i < b.N; i++ {
+		if _, err := store.ReadBinary(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLogregTrain measures the from-scratch LR fit.
 func BenchmarkLogregTrain(b *testing.B) {
 	ds := sharedDataset(b)
@@ -863,14 +881,11 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkFollowCatchUp measures a follow-mode restart: a fresh Ingestor
-// tails an STB1 chain holding the shared dataset as one segment per month
-// and catches up over the whole chain. Its first poll decodes every
-// segment, the drainer orders the receipts by time and feeds the monitor,
-// and the op ends once every receipt is ingested and the ingestor closed.
-// This is the catch-up half of the serving path; BenchmarkServeIngest
-// covers the HTTP half.
-func BenchmarkFollowCatchUp(b *testing.B) {
+// monthlyChain writes the shared dataset as an STB1 chain of one segment
+// per month, the shape a follow-mode daemon catches up over, and returns
+// its path, its receipt count and the dataset's 2-month grid.
+func monthlyChain(b *testing.B) (string, uint64, window.Grid) {
+	b.Helper()
 	ds := sharedDataset(b)
 	grid, err := window.NewGrid(ds.Config.Start, window.Span{Months: 2})
 	if err != nil {
@@ -899,7 +914,18 @@ func BenchmarkFollowCatchUp(b *testing.B) {
 	if err := os.WriteFile(path, chain.Bytes(), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	receipts := uint64(ds.Store.NumReceipts())
+	return path, uint64(ds.Store.NumReceipts()), grid
+}
+
+// BenchmarkFollowCatchUp measures a follow-mode restart: a fresh Ingestor
+// tails an STB1 chain holding the shared dataset as one segment per month
+// and catches up over the whole chain. Its first poll decodes every
+// segment, the drainer orders the receipts by time and feeds the monitor,
+// and the op ends once every receipt is ingested and the ingestor closed.
+// This is the catch-up half of the serving path; BenchmarkServeIngest
+// covers the HTTP half.
+func BenchmarkFollowCatchUp(b *testing.B) {
+	path, receipts, grid := monthlyChain(b)
 	b.ResetTimer()
 	b.ReportMetric(float64(receipts), "receipts/op")
 	for i := 0; i < b.N; i++ {
@@ -921,8 +947,30 @@ func BenchmarkFollowCatchUp(b *testing.B) {
 	}
 }
 
+// BenchmarkFollowerPoll measures the store half of a follow catch-up: one
+// Follower.Poll that reads and decodes the whole monthly chain of
+// BenchmarkFollowCatchUp into a store.
+func BenchmarkFollowerPoll(b *testing.B) {
+	path, receipts, _ := monthlyChain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.ReportMetric(float64(receipts), "receipts/op")
+	for i := 0; i < b.N; i++ {
+		st, err := store.NewFollower(nil, path).Poll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if uint64(st.NumReceipts()) != receipts {
+			b.Fatalf("polled %d receipts, want %d", st.NumReceipts(), receipts)
+		}
+	}
+}
+
 // BenchmarkServeQuery measures the read path against a fully ingested
-// daemon: per-customer stability lookups and alert-log pages.
+// daemon: per-customer stability lookups and alert-log pages. The open-*
+// rows query the live daemon, which answers through one control closure
+// per shard; the rows named without the prefix run after Close and read
+// the closed monitor's settled state directly.
 func BenchmarkServeQuery(b *testing.B) {
 	bodies, _, grid := serveBodies(b, 500)
 	ds := sharedDataset(b)
@@ -931,18 +979,24 @@ func BenchmarkServeQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := s.Handler()
+	accepted := 0
 	for _, body := range bodies {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/receipts", bytes.NewReader(body)))
-		if w.Code != 200 {
+		var resp serve.IngestResponse
+		if w.Code != 200 || json.Unmarshal(w.Body.Bytes(), &resp) != nil {
 			b.Fatal(w.Code)
 		}
+		accepted += resp.Accepted
 	}
-	if err := s.Close(); err != nil { // drain so queries hit settled state
-		b.Fatal(err)
+	// Drained: the drainer has handed every accepted receipt to the shards,
+	// and the Customers barrier waits until every shard has applied them.
+	for s.Ingestor().Metrics().ReceiptsIngested < uint64(accepted) {
+		time.Sleep(time.Millisecond)
 	}
+	s.Ingestor().Customers()
 	ids := ds.Store.Customers()
-	b.Run("stability", func(b *testing.B) {
+	stability := func(b *testing.B) {
 		b.ReportMetric(1, "scores/op")
 		for i := 0; i < b.N; i++ {
 			target := fmt.Sprintf("/v1/customers/%d/stability", ids[i%len(ids)])
@@ -952,12 +1006,12 @@ func BenchmarkServeQuery(b *testing.B) {
 				b.Fatal(w.Code)
 			}
 		}
-	})
+	}
 	// Batch fan-in: one POST scores `size` customers in one lock
 	// acquisition. scores/op lets benchjson derive scores/sec and compare
-	// directly against the single-GET subbench above.
-	for _, size := range []int{16, 128} {
-		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+	// directly against the single-GET subbench.
+	batch := func(size int) func(b *testing.B) {
+		return func(b *testing.B) {
 			var buf bytes.Buffer
 			enc := json.NewEncoder(&buf)
 			for i := 0; i < size; i++ {
@@ -976,7 +1030,18 @@ func BenchmarkServeQuery(b *testing.B) {
 					b.Fatal(w.Code)
 				}
 			}
-		})
+		}
+	}
+	b.Run("open-stability", stability)
+	for _, size := range []int{16, 128} {
+		b.Run(fmt.Sprintf("open-batch-%d", size), batch(size))
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("stability", stability)
+	for _, size := range []int{16, 128} {
+		b.Run(fmt.Sprintf("batch-%d", size), batch(size))
 	}
 	b.Run("alerts-page", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

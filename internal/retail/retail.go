@@ -152,11 +152,13 @@ func (h *History) Validate() error {
 }
 
 // Sort orders receipts chronologically in place (stable, preserving insert
-// order among equal timestamps).
+// order among equal timestamps). A history already in order, the common
+// case, costs one pass.
 func (h *History) Sort() {
-	sort.SliceStable(h.Receipts, func(i, j int) bool {
-		return h.Receipts[i].Time.Before(h.Receipts[j].Time)
-	})
+	byTime := func(a, b Receipt) int { return a.Time.Compare(b.Time) }
+	if !slices.IsSortedFunc(h.Receipts, byTime) {
+		slices.SortStableFunc(h.Receipts, byTime)
+	}
 }
 
 // Span returns the time of the first and last receipts. ok is false for an

@@ -7,7 +7,6 @@ package store
 // eviction) lives in internal/stream.
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -68,8 +67,10 @@ func CompactFile(fsys faultfs.FS, path string, cutoff time.Time) (CompactStats, 
 	if err != nil {
 		return CompactStats{}, err
 	}
-	s, segments, err := readBinaryAll(bufio.NewReader(f))
-	if cerr := f.Close(); err == nil {
+	data, readErr := io.ReadAll(f)
+	cerr := f.Close()
+	s, segments, err := decodeChain(data, readErr)
+	if err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -198,21 +199,21 @@ func (f *Follower) Poll() (*Store, error) {
 	if _, err := file.Seek(f.offset, io.SeekStart); err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(file)
-	if err != nil {
+	// The stat size bounds the read buffer up front (a file that grew
+	// since just reads on), so no doubling copies of the tail are made.
+	buf := bytes.NewBuffer(make([]byte, 0, info.Size()-f.offset+bytes.MinRead))
+	if _, err := buf.ReadFrom(file); err != nil {
 		return nil, err
 	}
+	data := buf.Bytes()
 
-	// Decode segment by segment, each into a fresh builder, so a torn
-	// trailing segment never contaminates the complete ones before it.
-	agg := NewBuilder()
-	br := bytes.NewReader(data)
-	base := f.offset
-	newSegs := 0
-	for br.Len() > 0 {
-		segStart := int64(len(data)) - int64(br.Len())
-		seg := NewBuilder()
-		if err := readBinarySegment(br, seg, f.segments+newSegs == 0); err != nil {
+	// Validate segment by segment, so a torn trailing segment never
+	// contaminates the complete ones before it; only the complete ones are
+	// decoded.
+	d := decoder{b: data}
+	end, newSegs := 0, 0
+	for d.i < len(data) {
+		if err := d.segment(f.segments+newSegs == 0); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				break // torn tail: retry from this boundary next poll
 			}
@@ -223,21 +224,20 @@ func (f *Follower) Poll() (*Store, error) {
 				break
 			}
 			if rewritten, rerr := f.prefixChanged(); rerr == nil && rewritten {
-				return nil, fmt.Errorf("%w: %s rewritten under follower at byte %d", ErrFileShrank, f.path, base+segStart)
+				return nil, fmt.Errorf("%w: %s rewritten under follower at byte %d", ErrFileShrank, f.path, f.offset)
 			}
-			return nil, fmt.Errorf("store: follow %s at byte %d: %w", f.path, base+segStart, err)
+			return nil, fmt.Errorf("store: follow %s at byte %d: %w", f.path, f.offset, err)
 		}
-		agg.Merge(seg)
-		consumed := int64(len(data)) - int64(br.Len())
-		f.sum.Write(data[segStart:consumed])
-		f.offset = base + consumed
-		f.segments++
+		end = d.i
 		newSegs++
 	}
 	if newSegs == 0 {
 		return nil, nil
 	}
-	return agg.Build(), nil
+	f.sum.Write(data[:end])
+	f.offset += int64(end)
+	f.segments += newSegs
+	return d.fill(), nil
 }
 
 // prefixChanged re-reads the consumed prefix and reports whether its bytes

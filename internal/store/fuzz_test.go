@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -165,9 +167,12 @@ var fuzzZones = []*time.Location{
 // k-way merge visits exactly the sequence a stable time sort of the
 // flattened store gives. Each 3-byte record is one receipt: customer (few
 // ids, so histories interleave), a coarse time (so timestamps collide
-// within and across customers) and a zone. The first byte picks absent
-// customers to add as empty histories and the second a visit count after
-// which fn stops the iteration (0 = never).
+// within and across customers) and a zone. The time byte's low 5 bits
+// pick an hour and its high 3 bits a multiple of 400ms past it, so some
+// receipts share a second and differ in nanoseconds, and some differ in
+// both, in opposite orders. The first byte picks absent customers to add
+// as empty histories and the second a visit count after which fn stops
+// the iteration (0 = never).
 func FuzzEachByTime(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0})
@@ -175,6 +180,11 @@ func FuzzEachByTime(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 3, 0, 2, 3, 0, 3, 3, 0, 1, 3}) // three customers tied at one instant
 	f.Add([]byte{0x55, 3, 4, 9, 0, 4, 9, 1, 2, 9, 2, 2, 5, 0, 6, 1, 7})
 	f.Add([]byte{0, 0, 1, 200, 0, 1, 200, 1, 2, 100, 2, 2, 50, 0})
+	// Sub-second: 3h+1.6s, 3h+0.4s, 3h+1.2s, 3h+0.8s and 3h+0.4s again,
+	// across customers and within one.
+	f.Add([]byte{0, 0, 2, 0x83, 0, 1, 0x23, 0, 2, 0x63, 1, 1, 0x43, 2, 0, 0x23, 0})
+	// One instant in all three zones, across customers and within one.
+	f.Add([]byte{0, 0, 0, 5, 2, 1, 5, 1, 0, 5, 0, 2, 5, 1, 1, 5, 2, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var empties, stopAt byte
 		if len(data) >= 2 {
@@ -185,7 +195,8 @@ func FuzzEachByTime(f *testing.F) {
 			id := retail.CustomerID(data[i] % 6)
 			// Hours from a base instant; the zone changes the wall clock,
 			// never the instant, so cross-zone collisions are common.
-			ts := day(0).Add(time.Duration(data[i+1]%32) * time.Hour).In(fuzzZones[int(data[i+2])%len(fuzzZones)])
+			ts := day(0).Add(time.Duration(data[i+1]%32)*time.Hour + time.Duration(data[i+1]>>5)*400*time.Millisecond).
+				In(fuzzZones[int(data[i+2])%len(fuzzZones)])
 			// A unique spend tells receipts with equal time and basket apart.
 			if err := b.Add(id, ts, []retail.ItemID{retail.ItemID(data[i+2]/3%4 + 1)}, float64(i)); err != nil {
 				t.Fatal(err)
@@ -317,4 +328,122 @@ func FuzzFollowerPoll(f *testing.F) {
 			poll()
 		}
 	})
+}
+
+// stb1Receipt encodes one receipt body as a segment lays it out: time
+// delta, spend bits, item count and item deltas.
+func stb1Receipt(dt int64, spend float64, count uint64, deltas ...uint64) []byte {
+	b := binary.AppendVarint(nil, dt)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(spend))
+	b = binary.AppendUvarint(b, count)
+	for _, d := range deltas {
+		b = binary.AppendUvarint(b, d)
+	}
+	return b
+}
+
+// stb1Segment encodes a segment header for one customer with receipts
+// receipts, followed by body.
+func stb1Segment(customer, receipts uint64, body []byte) []byte {
+	b := append([]byte("STB1"), 1)
+	b = binary.AppendUvarint(b, customer)
+	b = binary.AppendUvarint(b, receipts)
+	return append(b, body...)
+}
+
+// segmentBytes renders a polled or decoded store for comparison; nil
+// stays nil.
+func segmentBytes(t *testing.T, s *Store) []byte {
+	t.Helper()
+	if s == nil {
+		return nil
+	}
+	var got, ref bytes.Buffer
+	if err := s.WriteBinary(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteBinary(&ref, s); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+		t.Fatal("WriteBinary differs from the reference encoder")
+	}
+	return got.Bytes()
+}
+
+// errText is an error's text, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// FuzzDecodeSTB1 runs the package decoder and the Builder-based reference
+// decoder of codec_ref_test.go on the same bytes, two ways. Through
+// ReadBinary, both must fail with the same text or decode to stores with
+// the same WriteBinary bytes. Through a Follower tailing a valid
+// two-segment chain with the bytes appended, three polls of each must
+// agree after every poll on the error text, Offset, Segments and the
+// bytes of what was delivered. Every decoded store is also encoded by
+// both encoders, which must agree.
+func FuzzDecodeSTB1(f *testing.F) {
+	var chain bytes.Buffer
+	for _, s := range []*Store{seededStore(33, 4, 5, 300), seededStore(34, 3, 4, 300)} {
+		if err := s.WriteBinary(&chain); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{})
+	f.Add(binaryBytesOf(f, seededStore(35, 2, 3, 300)))
+	// A negative spend, then a cut inside the basket: torn, not corrupt.
+	f.Add(stb1Segment(5, 1, stb1Receipt(1000, -1, 3, 1, 1)))
+	// An unsorted basket (a repeated item), then a cut: torn, not corrupt.
+	f.Add(stb1Segment(5, 1, stb1Receipt(1000, 1, 3, 5, 0)))
+	// An item delta that wraps to a smaller id: not normalized.
+	f.Add(stb1Segment(5, 1, stb1Receipt(1000, 1, 2, 10, math.MaxUint64-4)))
+	// A 10-byte varint that overflows, and a cut long varint.
+	f.Add([]byte("STB1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"))
+	f.Add([]byte("STB1\x01\xff\xff\xff"))
+	// A header claiming 2^34 customers, the most a segment may claim.
+	f.Add(binary.AppendUvarint([]byte("STB1"), 1<<34))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gotErr := ReadBinary(bytes.NewReader(data))
+		want, wantErr := refReadBinary(bytes.NewReader(data))
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("ReadBinary error %q, reference %q", errText(gotErr), errText(wantErr))
+		}
+		if !bytes.Equal(segmentBytes(t, got), segmentBytes(t, want)) {
+			t.Fatal("ReadBinary decoded different receipts than the reference")
+		}
+
+		path := filepath.Join(t.TempDir(), "chain.stb")
+		if err := os.WriteFile(path, append(append([]byte(nil), chain.Bytes()...), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fol, ref := NewFollower(nil, path), NewFollower(nil, path)
+		for k := 0; k < 3; k++ {
+			got, gotErr := fol.Poll()
+			want, wantErr := refPoll(ref)
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("poll %d: error %q, reference %q", k, errText(gotErr), errText(wantErr))
+			}
+			if fol.Offset() != ref.Offset() || fol.Segments() != ref.Segments() {
+				t.Fatalf("poll %d: at byte %d after %d segments, reference at %d after %d",
+					k, fol.Offset(), fol.Segments(), ref.Offset(), ref.Segments())
+			}
+			if !bytes.Equal(segmentBytes(t, got), segmentBytes(t, want)) {
+				t.Fatalf("poll %d: delivered different receipts than the reference", k)
+			}
+		}
+	})
+}
+
+// binaryBytesOf renders a store as one segment for a fuzz seed.
+func binaryBytesOf(f *testing.F, s *Store) []byte {
+	var buf bytes.Buffer
+	if err := s.WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -13,6 +13,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,16 +84,18 @@ func (s *Store) Each(fn func(h retail.History) bool) {
 // The order is exactly what flattening s with Each and stably sorting the
 // result by time gives, without the sort: every history is already a
 // chronological run, so a k-way merge of the runs suffices. The merge keeps
-// a heap of run heads keyed by time, with ties going to the lower run index;
-// runs are in ascending customer order, so a time tie goes to the lower
-// customer id, and a run advances only after its earlier receipts were
-// visited.
+// a heap of run heads keyed by instant, with ties going to the lower run
+// index; runs are in ascending customer order, so a time tie goes to the
+// lower customer id, and a run advances only after its earlier receipts
+// were visited.
 func EachByTime(s *Store, fn func(id retail.CustomerID, r retail.Receipt) bool) {
 	hs := s.histories
 	h := make(runHeap, 0, len(hs))
 	for run := range hs {
 		if rs := hs[run].Receipts; len(rs) > 0 {
-			h = append(h, runHead{t: rs[0].Time, run: run})
+			head := runHead{run: run}
+			head.at(rs[0].Time)
+			h = append(h, head)
 		}
 	}
 	for j := len(h)/2 - 1; j >= 0; j-- {
@@ -105,7 +108,7 @@ func EachByTime(s *Store, fn func(id retail.CustomerID, r retail.Receipt) bool) 
 			return
 		}
 		if top.pos++; top.pos < len(hist.Receipts) {
-			top.t = hist.Receipts[top.pos].Time
+			top.at(hist.Receipts[top.pos].Time)
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
@@ -114,17 +117,34 @@ func EachByTime(s *Store, fn func(id retail.CustomerID, r retail.Receipt) bool) 
 	}
 }
 
-// runHead is one history's next unvisited receipt in EachByTime's merge.
+// unixToInternal is the time package's offset from Unix seconds to the
+// seconds since year 1 that time.Time holds and compares.
+const unixToInternal = 62135596800
+
+// runHead is one history's next unvisited receipt in EachByTime's merge,
+// keyed by the receipt's instant as integers: no pointer, no call to
+// compare.
 type runHead struct {
-	t   time.Time // time of receipt pos
-	run int       // index into Store.histories
-	pos int       // next receipt of the run
+	sec  int64 // seconds since year 1, wrapping as time.Time's do
+	nsec int   // nanoseconds within the second
+	run  int   // index into Store.histories
+	pos  int   // next receipt of the run
 }
 
-// before orders run heads by time, then run index.
+// at keys the head by t. Unix seconds shifted back to year 1, with
+// time.Time's own wrapping, order exactly as Time.Compare orders instants,
+// even past the years where the Unix count wraps.
+func (x *runHead) at(t time.Time) {
+	x.sec, x.nsec = t.Unix()+unixToInternal, t.Nanosecond()
+}
+
+// before orders run heads by instant, then run index.
 func (x *runHead) before(y *runHead) bool {
-	if c := x.t.Compare(y.t); c != 0 {
-		return c < 0
+	if x.sec != y.sec {
+		return x.sec < y.sec
+	}
+	if x.nsec != y.nsec {
+		return x.nsec < y.nsec
 	}
 	return x.run < y.run
 }
@@ -262,7 +282,7 @@ func (b *Builder) sortedIDs() []retail.CustomerID {
 	for id := range b.byCustomer {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

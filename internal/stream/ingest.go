@@ -337,13 +337,12 @@ type Ingestor struct {
 	// Drainer-owned maintenance state: tick-counted backoff (never
 	// wall-clock — backoff depth is a pure function of the failure
 	// sequence), the follower, and the journal append buffer.
-	saveBo     backoff
-	compactBo  backoff
-	follower   *store.Follower
-	journalBuf *store.Builder
-	// journalPending counts receipts buffered in journalBuf since the last
-	// successful append.
-	journalPending int
+	saveBo    backoff
+	compactBo backoff
+	follower  *store.Follower
+	// journal holds the receipts accepted since the last successful
+	// journal append, in arrival order.
+	journal []store.CustomerReceipt
 	// journalTrunc, when >= 0, is the size the journal must be cut back to
 	// before the next append: a failed append may have left a torn segment.
 	journalTrunc int64
@@ -434,7 +433,6 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 		i.follower = store.NewFollower(cfg.FS, cfg.FollowPath)
 	}
 	if cfg.JournalPath != "" {
-		i.journalBuf = store.NewBuilder()
 		if err := i.openJournal(); err != nil {
 			i.mon.Close()
 			return nil, err

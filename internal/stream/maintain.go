@@ -133,7 +133,7 @@ func (i *Ingestor) saveCycle() {
 // already compacted to one segment (and with nothing buffered or torn) is
 // left alone — the cycle is idempotent maintenance, not busywork.
 func (i *Ingestor) compactCycle() {
-	if i.journalSegs.Load() <= 1 && i.journalPending == 0 && i.journalTrunc < 0 {
+	if i.journalSegs.Load() <= 1 && len(i.journal) == 0 && i.journalTrunc < 0 {
 		return
 	}
 	i.maintain(&i.compactBo, &i.compactFailStreak, nil, &i.compactFails, func() bool {
@@ -227,33 +227,34 @@ func (i *Ingestor) openJournal() error {
 // normalized ones, so only a raw basket from a library caller costs a
 // normalized copy here.
 func (i *Ingestor) journalAdd(ev ReceiptEvent) {
-	if i.journalBuf == nil {
+	if i.cfg.JournalPath == "" {
 		return
 	}
 	items := ev.Items
 	if !items.IsNormalized() {
 		items = retail.NewBasket(items)
 	}
-	if err := i.journalBuf.AddReceipt(ev.Customer, retail.Receipt{Time: ev.Time, Items: items}); err != nil {
-		i.journalErrs.Add(1)
-		return
-	}
-	i.journalPending++
+	i.journal = append(i.journal, store.CustomerReceipt{
+		Customer: ev.Customer,
+		Receipt:  retail.Receipt{Time: ev.Time, Items: items},
+	})
 }
 
 // journalFlush appends the buffered receipts as one STB1 segment. On
 // failure the receipts stay buffered and the next flush point retries, so
-// a transient disk fault costs segment granularity, never receipts.
+// a transient disk fault costs segment granularity, never receipts. On
+// success the buffer is dropped rather than kept for reuse: it holds every
+// receipt since the last successful append, which after a run of failed
+// appends can be most of the journal.
 func (i *Ingestor) journalFlush() {
-	if i.journalBuf == nil || i.journalPending == 0 {
+	if len(i.journal) == 0 {
 		return
 	}
-	if err := i.journalAppend(i.journalBuf.Build()); err != nil {
+	if err := i.journalAppend(i.journal); err != nil {
 		i.journalErrs.Add(1)
 		return
 	}
-	i.journalBuf = store.NewBuilder()
-	i.journalPending = 0
+	i.journal = nil
 	i.journalSegs.Add(1)
 }
 
@@ -273,7 +274,7 @@ func (i *Ingestor) journalRepair() error {
 // journalAppend writes one segment to the end of the journal. A failed
 // write may leave a torn trailing segment, so the pre-append size is
 // remembered and the file is truncated back to it before the next append.
-func (i *Ingestor) journalAppend(delta *store.Store) error {
+func (i *Ingestor) journalAppend(receipts []store.CustomerReceipt) error {
 	path := i.cfg.JournalPath
 	if err := i.journalRepair(); err != nil {
 		return err
@@ -290,7 +291,7 @@ func (i *Ingestor) journalAppend(delta *store.Store) error {
 	if err != nil {
 		return err
 	}
-	err = delta.WriteBinary(f)
+	err = store.WriteReceipts(f, receipts)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/gautrais/stability/internal/core"
 	"github.com/gautrais/stability/internal/retail"
@@ -140,7 +140,7 @@ func sortedStateIDs(states map[retail.CustomerID]*custState) []retail.CustomerID
 	for id := range states {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -21,11 +21,12 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,11 +220,11 @@ func (s *ShardedMonitor) barrier(fn func(sh *shard) []Alert) ([]Alert, error) {
 // since a customer scores each window at most once, so the merged output is
 // identical for every shard count.
 func sortAlerts(alerts []Alert) {
-	sort.Slice(alerts, func(i, j int) bool {
-		if alerts[i].GridIndex != alerts[j].GridIndex {
-			return alerts[i].GridIndex < alerts[j].GridIndex
+	slices.SortFunc(alerts, func(a, b Alert) int {
+		if c := cmp.Compare(a.GridIndex, b.GridIndex); c != 0 {
+			return c
 		}
-		return alerts[i].Customer < alerts[j].Customer
+		return cmp.Compare(a.Customer, b.Customer)
 	})
 }
 

@@ -20,7 +20,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/gautrais/stability/internal/core"
@@ -286,7 +286,7 @@ func (m *Monitor) mergeIDs() {
 	if len(m.newIDs) == 0 {
 		return
 	}
-	sort.Slice(m.newIDs, func(i, j int) bool { return m.newIDs[i] < m.newIDs[j] })
+	slices.Sort(m.newIDs)
 	ni := len(m.ids)
 	m.ids = append(m.ids, m.newIDs...)
 	// Backward merge: ids[0:ni] and newIDs are each sorted and disjoint
