@@ -440,22 +440,6 @@ func (d *decoder) fill() *Store {
 // first slot).
 func groupByCustomer(n int, id func(k int) retail.CustomerID, size func(k int) int) (ids []retail.CustomerID, bounds, at []int) {
 	at = make([]int, n)
-	ascending := true
-	for k := 1; k < n && ascending; k++ {
-		ascending = id(k) > id(k-1)
-	}
-	if ascending {
-		// Every customer arrives once, in order (one segment, as
-		// WriteBinary writes it): each entry is a group of its own.
-		ids = make([]retail.CustomerID, n)
-		bounds = make([]int, n+1)
-		for k := range at {
-			ids[k] = id(k)
-			at[k] = bounds[k]
-			bounds[k+1] = bounds[k] + size(k)
-		}
-		return ids, bounds, at
-	}
 	// Number the customers in arrival order, total their sizes, then rank
 	// them by id.
 	group := make(map[retail.CustomerID]int)

@@ -168,11 +168,12 @@ var fuzzZones = []*time.Location{
 // flattened store gives. Each 3-byte record is one receipt: customer (few
 // ids, so histories interleave), a coarse time (so timestamps collide
 // within and across customers) and a zone. The time byte's low 5 bits
-// pick an hour and its high 3 bits a multiple of 400ms past it, so some
-// receipts share a second and differ in nanoseconds, and some differ in
-// both, in opposite orders. The first byte picks absent customers to add
-// as empty histories and the second a visit count after which fn stops
-// the iteration (0 = never).
+// pick an hour and its top bit adds 400ms, so some receipts share a
+// second and differ in nanoseconds, and some differ in both, in opposite
+// orders; bits 5 and 6 are ignored, so four byte values name each of the
+// 64 instants and ties stay common. The first byte picks absent customers
+// to add as empty histories and the second a visit count after which fn
+// stops the iteration (0 = never).
 func FuzzEachByTime(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0})
@@ -180,9 +181,9 @@ func FuzzEachByTime(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 3, 0, 2, 3, 0, 3, 3, 0, 1, 3}) // three customers tied at one instant
 	f.Add([]byte{0x55, 3, 4, 9, 0, 4, 9, 1, 2, 9, 2, 2, 5, 0, 6, 1, 7})
 	f.Add([]byte{0, 0, 1, 200, 0, 1, 200, 1, 2, 100, 2, 2, 50, 0})
-	// Sub-second: 3h+1.6s, 3h+0.4s, 3h+1.2s, 3h+0.8s and 3h+0.4s again,
-	// across customers and within one.
-	f.Add([]byte{0, 0, 2, 0x83, 0, 1, 0x23, 0, 2, 0x63, 1, 1, 0x43, 2, 0, 0x23, 0})
+	// Sub-second: 3h+0.4s, 3h, 4h (a later second, fewer nanoseconds),
+	// 3h+0.4s in another customer and 3h+0.4s again in the first.
+	f.Add([]byte{0, 0, 2, 0x83, 0, 1, 0x03, 0, 2, 0x04, 1, 1, 0x83, 2, 2, 0xa3, 0})
 	// One instant in all three zones, across customers and within one.
 	f.Add([]byte{0, 0, 0, 5, 2, 1, 5, 1, 0, 5, 0, 2, 5, 1, 1, 5, 2, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,7 +196,7 @@ func FuzzEachByTime(f *testing.F) {
 			id := retail.CustomerID(data[i] % 6)
 			// Hours from a base instant; the zone changes the wall clock,
 			// never the instant, so cross-zone collisions are common.
-			ts := day(0).Add(time.Duration(data[i+1]%32)*time.Hour + time.Duration(data[i+1]>>5)*400*time.Millisecond).
+			ts := day(0).Add(time.Duration(data[i+1]%32)*time.Hour + time.Duration(data[i+1]>>7)*400*time.Millisecond).
 				In(fuzzZones[int(data[i+2])%len(fuzzZones)])
 			// A unique spend tells receipts with equal time and basket apart.
 			if err := b.Add(id, ts, []retail.ItemID{retail.ItemID(data[i+2]/3%4 + 1)}, float64(i)); err != nil {
