@@ -8,15 +8,19 @@ GO ?= go
 # bench-smoke so CI gets a structural artifact without the full cost.
 BENCHTIME ?= 1s
 # Output of bench-json. bench-smoke redirects it to BENCH_SMOKE.json
-# (untracked) so a smoke run can never clobber the checked-in 1s baseline
-# BENCH_PR18.json with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10/
-# PR15/PR16/PR17.json are kept for the perf trajectory.
+# (untracked) so a smoke run can never clobber the checked-in 1s results
+# with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10/PR15/PR16/
+# PR17.json are kept for the perf trajectory.
 BENCHJSON_OUT ?= BENCH_PR18.json
 # Baseline bench-diff compares against, and the regression thresholds.
 # Smoke runs are single-iteration, so the defaults are deliberately loose:
 # the diff is a tripwire for order-of-magnitude regressions and alloc-count
 # jumps, not a timing oracle (diff two 1s bench-json runs for that).
-BENCH_BASELINE ?= BENCH_PR18.json
+# BENCH_PR18.json was recorded while the host ran about 1.5x slower than
+# when BENCH_PR17.json was (the BENCH_PR17.json code, re-run alongside,
+# read as slow), so the gate stays on BENCH_PR17.json until
+# BENCH_PR18.json is re-recorded on a quiet host.
+BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_DIFF_THRESHOLD ?= 1.0
 BENCH_DIFF_ALLOCS_THRESHOLD ?= 0.25
 
