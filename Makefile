@@ -108,9 +108,9 @@ bench-json: ## machine-readable benchmark results -> $(BENCHJSON_OUT)
 loadtest: ## attritiond smoke load test: in-process daemon, concurrent replay, exact verification vs a sequential Monitor
 	$(GO) run ./cmd/loadgen -customers 120 -months 16 -conns 4 -batch 150 -queries 300
 
-loadtest-evict: ## loadtest with a retention horizon + TTL sweeps: -churn silences customers so evictions actually fire, and the eviction counters must match the sequential replay exactly
+loadtest-evict: ## loadtest with a retention horizon: -churn silences customers so close barriers evict, and the eviction counters must match the sequential replay exactly
 	$(GO) run ./cmd/loadgen -customers 120 -months 24 -conns 4 -batch 150 -queries 300 \
-		-retention 2 -ttl-interval 5ms -churn 0.3
+		-retention 2 -churn 0.3
 
 loadtest-follow: ## loadtest in follow mode: loadgen appends STB1 segments, the daemon tails them, the chain is compacted mid-tail (live resync), and verification stays exact
 	$(GO) run ./cmd/loadgen -customers 120 -months 16 -batch 150 -queries 300 -follow

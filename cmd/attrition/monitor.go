@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/gautrais/stability"
+	"github.com/gautrais/stability/internal/faultfs"
 	"github.com/gautrais/stability/internal/store"
 )
 
@@ -361,21 +362,8 @@ func openMonitor(cfg stability.MonitorConfig, statePath string, shards int) (*st
 	return monitor, 0, nil
 }
 
-// saveMonitorState atomically persists the monitor snapshot.
+// saveMonitorState atomically persists the monitor snapshot (tmp + fsync
+// + rename).
 func saveMonitorState(path string, monitor *stability.ShardedMonitor) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := monitor.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return faultfs.WriteAtomic(faultfs.OS{}, path, monitor.WriteSnapshot)
 }

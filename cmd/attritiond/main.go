@@ -99,7 +99,6 @@ func parseFlags(args []string) (config, error) {
 		saveInterval = fs.Duration("save-interval", time.Minute, "background snapshot period (0 disables; needs -state)")
 		flushTick    = fs.Duration("flush-interval", 2*time.Second, "alert delivery liveness barrier period (0 disables)")
 		retention    = fs.Int("retention", 0, "retention horizon in windows: customers silent that long are scored through the horizon and evicted; 0 keeps everyone forever")
-		ttlInterval  = fs.Duration("ttl-interval", time.Minute, "idle-customer eviction sweep period (0 disables; needs -retention)")
 
 		follow          = fs.String("follow", "", "STB1 snapshot to tail as the ingest source instead of HTTP (POST /v1/receipts answers 409)")
 		followPoll      = fs.Duration("follow-poll", 500*time.Millisecond, "follow-mode poll period (needs -follow)")
@@ -146,7 +145,6 @@ func parseFlags(args []string) (config, error) {
 			StatePath:       *state,
 			SaveInterval:    *saveInterval,
 			FlushInterval:   *flushTick,
-			TTLInterval:     *ttlInterval,
 			FollowPath:      *follow,
 			FollowInterval:  *followPoll,
 			JournalPath:     *journal,

@@ -80,7 +80,6 @@ type options struct {
 	warmup    int
 	shards    int
 	retention int
-	ttl       time.Duration
 	churn     float64
 	verify    bool
 
@@ -108,7 +107,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.warmup, "warmup", 4, "warm-up windows (must match the daemon)")
 	fs.IntVar(&o.shards, "shards", 0, "shards for the in-process daemon; 0 = GOMAXPROCS")
 	fs.IntVar(&o.retention, "retention", 0, "retention horizon in windows (must match the daemon); 0 keeps everyone forever")
-	fs.DurationVar(&o.ttl, "ttl-interval", 0, "idle-customer eviction sweep period for the in-process daemon; 0 disables")
 	fs.Float64Var(&o.churn, "churn", 0, "fraction of customers silenced halfway through the feed (gives -retention something to evict; 0 disables)")
 	fs.BoolVar(&o.verify, "verify", true, "verify daemon answers against a sequential replay")
 	fs.BoolVar(&o.queryMix, "query-mix", false, "interleave POST /v1/stability:batch queries with ingestion at every month barrier, exact-verifying each answer against a shadow sequential replay")
@@ -247,7 +245,6 @@ func run(args []string, out io.Writer) error {
 				RetentionWindows: o.retention,
 			},
 			Shards:         o.shards,
-			TTLInterval:    o.ttl,
 			FollowPath:     followPath,
 			FollowInterval: o.followPoll,
 		})

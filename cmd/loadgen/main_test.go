@@ -38,14 +38,14 @@ func TestLoadgenSelfServe(t *testing.T) {
 	}
 }
 
-// TestLoadgenSelfServeRetention runs the pipeline with a retention horizon
-// and an eviction sweep enabled: verification must still be exact, and the
-// eviction counters must match the sequential replay.
+// TestLoadgenSelfServeRetention runs the pipeline with a retention horizon:
+// verification must still be exact, and the eviction counters must match
+// the sequential replay.
 func TestLoadgenSelfServeRetention(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-customers", "40", "-months", "24", "-conns", "3", "-batch", "75",
-		"-queries", "60", "-shards", "4", "-retention", "2", "-ttl-interval", "5ms",
+		"-queries", "60", "-shards", "4", "-retention", "2",
 		"-churn", "0.3",
 	}, &out)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -331,11 +332,11 @@ func (t *Tracker) blame(items retail.Basket, maxC int32, den float64) []Blame {
 			Share:           t.term(maxC-c) / den,
 		})
 	}
-	sort.Slice(missing, func(i, j int) bool {
-		if missing[i].Net != missing[j].Net {
-			return missing[i].Net > missing[j].Net
+	slices.SortFunc(missing, func(a, b Blame) int {
+		if a.Net != b.Net {
+			return cmp.Compare(b.Net, a.Net)
 		}
-		return missing[i].Item < missing[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 	if t.opts.MaxBlame > 0 && len(missing) > t.opts.MaxBlame {
 		missing = missing[:t.opts.MaxBlame]

@@ -82,6 +82,30 @@ func (OS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 // Truncate implements FS.
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
+// WriteAtomic replaces path crash-safely: write fills path+".tmp", which
+// is synced, closed and renamed over path, so a crash leaves the old file
+// or the new one, never a mix. A failure before the rename removes the
+// temp file; a failed rename keeps it, and the next call overwrites it.
+func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.Rename(tmp, path)
+}
+
 // Op names one interceptable filesystem operation.
 type Op string
 

@@ -52,11 +52,6 @@ type Config struct {
 	// FlushInterval is the alert-delivery liveness barrier period; 0
 	// disables it.
 	FlushInterval time.Duration
-	// TTLInterval is the idle-customer eviction sweep period; 0 disables
-	// the sweep. It only matters with Monitor.RetentionWindows > 0, and
-	// reclaims memory without changing scored output: customers past the
-	// horizon are already fully scored at close barriers.
-	TTLInterval time.Duration
 	// LongPollMax caps the ?wait= duration of GET /v1/alerts; <= 0 means
 	// 30s.
 	LongPollMax time.Duration
@@ -130,7 +125,6 @@ func New(cfg Config) (*Server, error) {
 		StatePath:       cfg.StatePath,
 		SaveInterval:    cfg.SaveInterval,
 		FlushInterval:   cfg.FlushInterval,
-		TTLInterval:     cfg.TTLInterval,
 		FollowPath:      cfg.FollowPath,
 		FollowInterval:  cfg.FollowInterval,
 		JournalPath:     cfg.JournalPath,

@@ -92,27 +92,8 @@ func CompactFile(fsys faultfs.FS, path string, cutoff time.Time) (CompactStats, 
 	stats.CustomersAfter = s.NumCustomers()
 	stats.ReceiptsAfter = s.NumReceipts()
 
-	tmp := path + ".tmp"
-	tf, err := fsys.Create(tmp)
-	if err != nil {
+	if err := faultfs.WriteAtomic(fsys, path, s.WriteBinary); err != nil {
 		return stats, fmt.Errorf("store: compact %s: %w", path, err)
-	}
-	if err := s.WriteBinary(tf); err != nil {
-		tf.Close()
-		fsys.Remove(tmp)
-		return stats, fmt.Errorf("store: compact %s: %w", path, err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		fsys.Remove(tmp)
-		return stats, fmt.Errorf("store: compact %s: sync: %w", path, err)
-	}
-	if err := tf.Close(); err != nil {
-		fsys.Remove(tmp)
-		return stats, fmt.Errorf("store: compact %s: close: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return stats, fmt.Errorf("store: compact %s: rename: %w", path, err)
 	}
 	info, err = fsys.Stat(path)
 	if err != nil {

@@ -14,8 +14,8 @@
 // accepted receipt sequence; the equivalence with a sequential Monitor
 // replay is differential-tested in internal/serve.
 //
-// The optional background saver and flush tickers are wall-clock driven by
-// nature (crash-recovery snapshots, alert-delivery liveness); they never
+// The optional flush ticker and maintenance tasks are wall-clock driven by
+// nature (alert-delivery liveness, crash-recovery snapshots); they never
 // change which alerts exist or what the SMN1 state is, only when both
 // become visible.
 package stream
@@ -144,15 +144,6 @@ type IngestorConfig struct {
 	// out-of-order feeds they only affect when alerts become visible,
 	// never which alerts exist.
 	FlushInterval time.Duration
-	// TTLInterval is the period of idle-customer eviction sweeps; it only
-	// matters when Monitor.RetentionWindows > 0. Close barriers already
-	// evict inline as the feed advances, so the sweep is memory-reclaim
-	// timing for the cases barriers can't reach: a restore of a snapshot
-	// taken under a longer (or no) horizon, and a feed gone quiet. The
-	// eviction cutoff is always the already-closed watermark, so which
-	// customers exist at any barrier never depends on sweep timing.
-	// 0 disables the ticker.
-	TTLInterval time.Duration
 	// FollowPath, when non-empty, switches the ingestor to file-driven
 	// ingestion: instead of accepting Enqueue batches (Enqueue returns
 	// ErrFollowing), the drainer tails the STB1 segment chain at FollowPath
@@ -193,7 +184,12 @@ func (c IngestorConfig) withDefaults() IngestorConfig {
 	if c.AlertBuffer <= 0 {
 		c.AlertBuffer = 65536
 	}
-	if c.FollowPath != "" && c.FollowInterval <= 0 {
+	if c.StatePath == "" {
+		c.SaveInterval = 0
+	}
+	if c.FollowPath == "" {
+		c.FollowInterval = 0
+	} else if c.FollowInterval <= 0 {
 		c.FollowInterval = 500 * time.Millisecond
 	}
 	if c.FS == nil {
@@ -212,7 +208,7 @@ func (c IngestorConfig) Validate() error {
 	default:
 		return fmt.Errorf("stream: unknown overflow policy %d", int(c.Policy))
 	}
-	if c.SaveInterval < 0 || c.FlushInterval < 0 || c.TTLInterval < 0 || c.FollowInterval < 0 || c.CompactInterval < 0 {
+	if c.SaveInterval < 0 || c.FlushInterval < 0 || c.FollowInterval < 0 || c.CompactInterval < 0 {
 		return errors.New("stream: negative ticker interval")
 	}
 	if c.FollowPath != "" && c.JournalPath != "" {
@@ -282,8 +278,8 @@ type IngestorMetrics struct {
 	// CustomersRetained is the number of customers currently tracked — the
 	// gauge that shows the memory bound holding.
 	CustomersRetained int `json:"customers_retained"`
-	// Degraded mirrors Health().Degraded: a maintenance loop (saver,
-	// compactor, follower) has failed degradedThreshold times in a row.
+	// Degraded mirrors Health().Degraded: a maintenance task (saver,
+	// compactor, follower) has failed degradedThreshold cycles in a row.
 	Degraded bool `json:"degraded"`
 }
 
@@ -316,13 +312,9 @@ type Ingestor struct {
 	queue chan []ReceiptEvent
 	stop  chan struct{}
 	// pauseReq hands the drainer a resume channel to park on; see Pause.
-	pauseReq    chan chan struct{}
-	drainDone   chan struct{}
-	flushTick   *time.Ticker
-	saveTick    *time.Ticker
-	ttlTick     *time.Ticker
-	compactTick *time.Ticker
-	followTick  *time.Ticker
+	pauseReq  chan chan struct{}
+	drainDone chan struct{}
+	flushTick *time.Ticker
 
 	// Drainer-owned watermark state: maxMonth is the largest receipt month
 	// seen, lastClosedK the highest barrier-closed window.
@@ -334,12 +326,12 @@ type Ingestor struct {
 	// disables suppression.
 	suppressK int
 
-	// Drainer-owned maintenance state: tick-counted backoff (never
-	// wall-clock — backoff depth is a pure function of the failure
-	// sequence), the follower, and the journal append buffer.
-	saveBo    backoff
-	compactBo backoff
-	follower  *store.Follower
+	// tasks is the maintenance table (saver, compactor, follower), run by
+	// the drainer; see task.
+	tasks [numTasks]task
+	// Drainer-owned maintenance state: the follower and the journal
+	// append buffer.
+	follower *store.Follower
 	// journal holds the receipts accepted since the last successful
 	// journal append, in arrival order.
 	journal []store.CustomerReceipt
@@ -354,22 +346,14 @@ type Ingestor struct {
 	ingestErrs   atomic.Uint64
 	saves        atomic.Uint64
 	saveErrs     atomic.Uint64
-	saveRetries  atomic.Uint64
-	saveFailures atomic.Uint64
 	compactions  atomic.Uint64
-	compactFails atomic.Uint64
 	journalErrs  atomic.Uint64
 	journalSegs  atomic.Int64
 	followPolls  atomic.Uint64
 	followErrs   atomic.Uint64
 	followResync atomic.Uint64
-	// Consecutive-failure gauges behind Health(): reset to zero on the
-	// first success of the corresponding loop.
-	saveFailStreak    atomic.Int64
-	compactFailStreak atomic.Int64
-	followFailStreak  atomic.Int64
-	watermark         atomic.Int64
-	closed            atomic.Bool
+	watermark    atomic.Int64
+	closed       atomic.Bool
 
 	// pmu guards the pause/resume handshake.
 	pmu    sync.Mutex
@@ -389,7 +373,8 @@ type gridInfo struct {
 }
 
 // NewIngestor validates cfg, restores SMN1 state from cfg.StatePath when
-// the file exists, and starts the drainer (and any configured tickers).
+// the file exists, and starts the drainer (and any configured tickers and
+// maintenance tasks).
 func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -414,23 +399,19 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 		nextSeq:      1,
 		changed:      make(chan struct{}),
 	}
+	if cfg.FollowPath != "" {
+		i.follower = store.NewFollower(cfg.FS, cfg.FollowPath)
+	}
 	if restored {
 		if k, ok := mon.Watermark(); ok {
 			i.lastClosedK = k - 1
 		}
 		if cfg.FollowPath == "" {
-			// The snapshot may have been taken under a longer (or no)
-			// horizon: sweep once before the drainer starts, so
-			// restored-but-expired customers are reclaimed without waiting
-			// for feed traffic.
 			i.evictSweep()
-		} else if err := i.restartFollowReplay(); err != nil {
+		} else if err := i.replayFollowed(); err != nil {
 			mon.Close()
 			return nil, err
 		}
-	}
-	if cfg.FollowPath != "" {
-		i.follower = store.NewFollower(cfg.FS, cfg.FollowPath)
 	}
 	if cfg.JournalPath != "" {
 		if err := i.openJournal(); err != nil {
@@ -443,28 +424,13 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 		wm = i.suppressK
 	}
 	i.watermark.Store(int64(wm + 1))
-	var flushC, saveC, ttlC, compactC, followC <-chan time.Time
+	var flushC <-chan time.Time
 	if cfg.FlushInterval > 0 {
 		i.flushTick = time.NewTicker(cfg.FlushInterval)
 		flushC = i.flushTick.C
 	}
-	if cfg.SaveInterval > 0 && cfg.StatePath != "" {
-		i.saveTick = time.NewTicker(cfg.SaveInterval)
-		saveC = i.saveTick.C
-	}
-	if cfg.TTLInterval > 0 && cfg.Monitor.RetentionWindows > 0 {
-		i.ttlTick = time.NewTicker(cfg.TTLInterval)
-		ttlC = i.ttlTick.C
-	}
-	if cfg.CompactInterval > 0 && cfg.JournalPath != "" {
-		i.compactTick = time.NewTicker(cfg.CompactInterval)
-		compactC = i.compactTick.C
-	}
-	if cfg.FollowPath != "" {
-		i.followTick = time.NewTicker(cfg.FollowInterval)
-		followC = i.followTick.C
-	}
-	go i.drain(flushC, saveC, ttlC, compactC, followC)
+	i.startTasks()
+	go i.drain(flushC)
 	return i, nil
 }
 
@@ -529,10 +495,12 @@ func (i *Ingestor) Enqueue(batch []ReceiptEvent) (bool, error) {
 
 // drain is the single queue consumer: it feeds the monitor in queue order,
 // fires watermark barriers as receipt months advance, and services pause
-// requests and tickers. nil ticker channels block forever, so disabled
-// tickers cost nothing.
-func (i *Ingestor) drain(flushC, saveC, ttlC, compactC, followC <-chan time.Time) {
+// requests, flush ticks and maintenance-task ticks. nil ticker channels
+// block forever, so disabled tickers cost nothing.
+func (i *Ingestor) drain(flushC <-chan time.Time) {
 	defer close(i.drainDone)
+	save, compact, follow := &i.tasks[taskSave], &i.tasks[taskCompact], &i.tasks[taskFollow]
+	saveC, compactC, followC := save.ticks(), compact.ticks(), follow.ticks()
 	for {
 		select {
 		case resume := <-i.pauseReq:
@@ -540,13 +508,11 @@ func (i *Ingestor) drain(flushC, saveC, ttlC, compactC, followC <-chan time.Time
 		case <-flushC:
 			i.flushBarrier()
 		case <-saveC:
-			i.saveCycle()
-		case <-ttlC:
-			i.evictSweep()
+			save.cycle()
 		case <-compactC:
-			i.compactCycle()
+			compact.cycle()
 		case <-followC:
-			i.followPoll()
+			follow.cycle()
 		case batch := <-i.queue:
 			i.process(batch)
 		case <-i.stop:
@@ -564,31 +530,41 @@ func (i *Ingestor) drain(flushC, saveC, ttlC, compactC, followC <-chan time.Time
 	}
 }
 
-// process ingests one batch. When a receipt's month advances past every
-// month seen so far, every window that ended at or before that month's
-// start is provably complete — the conservative `monitor -state` rule — so
-// a CloseThrough barrier fires before the receipt is ingested.
+// process ingests one queued batch through the per-receipt step; an
+// ingest error ends the batch uncounted.
 func (i *Ingestor) process(batch []ReceiptEvent) {
 	for _, ev := range batch {
-		if m := i.monthIndex(ev.Time); m > i.maxMonth {
-			i.maxMonth = m
-			// closeK is the last window ending at or before the start of
-			// month m. Guarding on lastClosedK makes the barrier positions
-			// a pure function of the receipt sequence.
-			if closeK := i.windowOfMonth(m) - 1; closeK > i.lastClosedK {
-				i.closeBarrier(closeK)
-			}
-		}
-		if err := i.mon.Ingest(ev.Customer, ev.Time, ev.Items); err != nil {
-			// Only ErrClosed is synchronous, and Close stops this drainer
-			// first, so this is unreachable in practice; count it anyway.
-			i.ingestErrs.Add(1)
+		if !i.step(ev, i.monthIndex(ev.Time)) {
 			return
 		}
-		i.journalAdd(ev)
-		i.receipts.Add(1)
 	}
 	i.batches.Add(1)
+}
+
+// step ingests one receipt whose month index is m. When m advances past
+// every month seen so far, every window that ended at or before that
+// month's start is provably complete — the conservative `monitor -state`
+// rule — so a CloseThrough barrier fires before the receipt is ingested.
+// It reports false when the monitor refused the receipt.
+func (i *Ingestor) step(ev ReceiptEvent, m int) bool {
+	if m > i.maxMonth {
+		i.maxMonth = m
+		// closeK is the last window ending at or before the start of
+		// month m. Guarding on lastClosedK makes the barrier positions a
+		// pure function of the receipt sequence.
+		if closeK := i.windowOfMonth(m) - 1; closeK > i.lastClosedK {
+			i.closeBarrier(closeK)
+		}
+	}
+	if err := i.mon.Ingest(ev.Customer, ev.Time, ev.Items); err != nil {
+		// Only ErrClosed is synchronous, and Close stops this drainer
+		// first, so this is unreachable in practice; count it anyway.
+		i.ingestErrs.Add(1)
+		return false
+	}
+	i.journalAdd(ev)
+	i.receipts.Add(1)
+	return true
 }
 
 // monthIndex returns the month index of t from the grid origin, in UTC
@@ -629,9 +605,11 @@ func (i *Ingestor) closeBarrier(k int) {
 }
 
 // evictSweep force-evicts customers idle past the retention horizon as of
-// the already-closed watermark — the TTL job. Close barriers evict inline,
-// so the sweep is pure memory reclamation with a deterministic cutoff:
-// which customers exist at any barrier never depends on sweep timing.
+// the already-closed watermark. NewIngestor runs it once after a restore:
+// the snapshot may have been taken under a longer (or no) horizon, and
+// this reclaims its expired customers without waiting for feed traffic.
+// From then on close barriers evict, since CloseThrough(k) drops every
+// customer whose horizon ends at or before k.
 func (i *Ingestor) evictSweep() {
 	if i.cfg.Monitor.RetentionWindows <= 0 {
 		return
@@ -796,10 +774,10 @@ func (i *Ingestor) Metrics() IngestorMetrics {
 		Watermark:          int(i.watermark.Load()),
 		Saves:              i.saves.Load(),
 		SaveErrors:         i.saveErrs.Load(),
-		SaveRetries:        i.saveRetries.Load(),
-		StateSaveFailures:  i.saveFailures.Load(),
+		SaveRetries:        i.tasks[taskSave].retries.Load(),
+		StateSaveFailures:  i.tasks[taskSave].failures.Load(),
 		Compactions:        i.compactions.Load(),
-		CompactionFailures: i.compactFails.Load(),
+		CompactionFailures: i.tasks[taskCompact].failures.Load(),
 		JournalErrors:      i.journalErrs.Load(),
 		JournalSegments:    int(i.journalSegs.Load()),
 		FollowPolls:        i.followPolls.Load(),
@@ -817,55 +795,26 @@ func (i *Ingestor) alertsEmitted() uint64 {
 	return i.nextSeq - 1
 }
 
-// saveAttempt makes one snapshot attempt: flush shard-buffered alerts to
+// saveAttempt is the saver row's attempt: flush shard-buffered alerts to
 // the log (so a crash after the save loses only alerts never delivered to
 // any consumer), pending journal receipts to disk, then write the SMN1
-// state atomically (tmp + rename). Called from the drainer's retrying
-// saveCycle and from Close.
-func (i *Ingestor) saveAttempt() bool {
-	if i.cfg.StatePath == "" {
-		return true
-	}
-	if !i.mon.closed.Load() {
-		i.flushBarrier()
-	}
+// state atomically (tmp + fsync + rename).
+func (i *Ingestor) saveAttempt() error {
+	i.flushBarrier()
 	i.journalFlush()
-	return i.saveState() == nil
+	return i.saveState()
 }
 
 // saveState writes the state file and counts the attempt once it has
 // finished, so a reader that sees Saves above SaveErrors finds a state
 // file on disk.
 func (i *Ingestor) saveState() error {
-	err := i.writeStateFile()
+	err := faultfs.WriteAtomic(i.cfg.FS, i.cfg.StatePath, i.mon.WriteSnapshot)
 	if err != nil {
 		i.saveErrs.Add(1)
 	}
 	i.saves.Add(1)
 	return err
-}
-
-func (i *Ingestor) writeStateFile() error {
-	tmp := i.cfg.StatePath + ".tmp"
-	f, err := i.cfg.FS.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := i.mon.WriteSnapshot(f); err != nil {
-		f.Close()
-		i.cfg.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		i.cfg.FS.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		i.cfg.FS.Remove(tmp)
-		return err
-	}
-	return i.cfg.FS.Rename(tmp, i.cfg.StatePath)
 }
 
 // WriteSnapshot streams the monitor's SMN1 state, usable before and after
@@ -887,10 +836,11 @@ func (i *Ingestor) Close() error {
 	if i.closed.Swap(true) {
 		return ErrIngestorClosed
 	}
-	for _, t := range []*time.Ticker{i.flushTick, i.saveTick, i.ttlTick, i.compactTick, i.followTick} {
-		if t != nil {
-			t.Stop()
-		}
+	if i.flushTick != nil {
+		i.flushTick.Stop()
+	}
+	for k := range i.tasks {
+		i.tasks[k].stop()
 	}
 	i.Resume()
 	close(i.stop)

@@ -1,9 +1,10 @@
 // Self-healing maintenance for the serving path: the drainer goroutine
-// doubles as a supervisor that, between receipt batches, saves snapshots
-// with bounded retry + backoff, appends accepted receipts to an STB1
-// journal and self-compacts it crash-safely, and (in follow mode) tails a
-// growing snapshot file as the ingest source, resyncing automatically when
-// the file is compacted underneath it.
+// doubles as a supervisor that, between receipt batches, runs a table of
+// maintenance tasks — saving snapshots, self-compacting the STB1 receipt
+// journal crash-safely, and (in follow mode) tailing a growing snapshot
+// file as the ingest source, resyncing automatically when the file is
+// compacted underneath it. Every task shares one retry, backoff and
+// failure-streak state machine.
 //
 // Everything here rides the existing drainer select loop — no new
 // goroutines (R3) — and every schedule decision (retry counts, backoff
@@ -26,127 +27,148 @@ import (
 
 const (
 	// degradedThreshold is the consecutive-failure count past which a
-	// maintenance loop (saver, compactor, follower) marks the pipeline
-	// degraded in Health().
+	// maintenance task marks the pipeline degraded in Health().
 	degradedThreshold = 3
 	// maintRetries bounds the immediate in-cycle retries of a failed
-	// maintenance attempt: one cycle makes at most 1+maintRetries attempts
-	// before it gives up and backs off.
+	// attempt: one cycle makes at most 1+maintRetries attempts before it
+	// gives up and backs off.
 	maintRetries = 2
 	// maxBackoffTicks caps the exponential backoff skip.
 	maxBackoffTicks = 32
 )
 
-// backoff is tick-counted exponential backoff for a periodic maintenance
-// loop: after f consecutive failed cycles, the next min(2^(f-1),
-// maxBackoffTicks) ticks are skipped before the loop tries again.
-// Counting ticks instead of reading a clock keeps the failure-path
-// schedule a pure function of the tick/outcome sequence.
-type backoff struct {
-	fails int
-	skip  int
+// The rows of the drainer's maintenance table, in Health() reason order.
+const (
+	taskSave = iota
+	taskCompact
+	taskFollow
+	numTasks
+)
+
+// task is one row of the drainer's maintenance table: a periodic job the
+// drainer supervises between batches. A cycle makes one attempt plus up to
+// maintRetries immediate retries. A failed cycle extends the failure streak
+// and skips the next min(2^(streak-1), maxBackoffTicks) ticks; a success
+// clears both. Counting ticks instead of reading a clock keeps the
+// failure-path schedule a pure function of the tick/outcome sequence.
+type task struct {
+	// reason is the Health() line, formatted with the failure streak.
+	reason  string
+	attempt func() error
+	tick    *time.Ticker
+	// skip is the ticks left to pass over; drainer-owned, like attempt.
+	skip int
+	// retries counts in-cycle retries, failures the cycles that ran out
+	// of them, and streak the consecutive failed cycles behind Health().
+	retries  atomic.Uint64
+	failures atomic.Uint64
+	streak   atomic.Int64
 }
 
-// due reports whether this tick should run, consuming one skip otherwise.
-func (b *backoff) due() bool {
-	if b.skip > 0 {
-		b.skip--
-		return false
+// start fills the row and, for a positive period, starts its ticker.
+func (t *task) start(reason string, attempt func() error, period time.Duration) {
+	t.reason, t.attempt = reason, attempt
+	if period > 0 {
+		t.tick = time.NewTicker(period)
 	}
-	return true
 }
 
-func (b *backoff) failure() {
-	b.fails++
-	n := maxBackoffTicks
-	if b.fails <= 5 {
-		n = 1 << (b.fails - 1)
+// ticks returns the row's tick channel; nil (never ready) when disabled.
+func (t *task) ticks() <-chan time.Time {
+	if t.tick == nil {
+		return nil
 	}
-	if n > maxBackoffTicks {
-		n = maxBackoffTicks
-	}
-	b.skip = n
+	return t.tick.C
 }
 
-func (b *backoff) success() { b.fails, b.skip = 0, 0 }
+func (t *task) stop() {
+	if t.tick != nil {
+		t.tick.Stop()
+	}
+}
+
+// cycle runs one tick: nothing while backing off, else an attempt with
+// bounded retries, then the outcome is recorded.
+func (t *task) cycle() {
+	if t.skip > 0 {
+		t.skip--
+		return
+	}
+	err := t.attempt()
+	for r := 0; err != nil && r < maintRetries; r++ {
+		t.retries.Add(1)
+		err = t.attempt()
+	}
+	t.record(err == nil)
+}
+
+// record books one cycle's outcome in the streak, counters and backoff.
+func (t *task) record(ok bool) {
+	if ok {
+		t.streak.Store(0)
+		t.skip = 0
+		return
+	}
+	t.failures.Add(1)
+	t.skip = maxBackoffTicks
+	if n := t.streak.Add(1); n <= 5 {
+		t.skip = 1 << (n - 1)
+	}
+}
 
 // IngestorHealth is the pipeline's readiness snapshot: Degraded flips when
-// a maintenance loop has failed degradedThreshold consecutive times, and
-// Reasons name the failing loops. A degraded ingestor still serves queries
+// a maintenance task has failed degradedThreshold consecutive cycles, and
+// Reasons name the failing tasks. A degraded ingestor still serves queries
 // and ingests receipts — degradation means its durability or input loop is
 // in trouble, the signal a readiness probe should act on.
 type IngestorHealth struct {
-	// Degraded reports whether any maintenance loop is persistently
+	// Degraded reports whether any maintenance task is persistently
 	// failing.
 	Degraded bool `json:"degraded"`
-	// Reasons lists one entry per failing loop (saver, compactor,
+	// Reasons lists one entry per failing task (saver, compactor,
 	// follower); empty when healthy.
 	Reasons []string `json:"degraded_reasons,omitempty"`
 }
 
-// Health reports the maintenance loops' readiness state.
+// Health reports the maintenance tasks' readiness state.
 func (i *Ingestor) Health() IngestorHealth {
 	var h IngestorHealth
-	if n := i.saveFailStreak.Load(); n >= degradedThreshold {
-		h.Reasons = append(h.Reasons, fmt.Sprintf("saver failing: %d consecutive save cycles failed", n))
-	}
-	if n := i.compactFailStreak.Load(); n >= degradedThreshold {
-		h.Reasons = append(h.Reasons, fmt.Sprintf("compactor backing off: %d consecutive compactions failed", n))
-	}
-	if n := i.followFailStreak.Load(); n >= degradedThreshold {
-		h.Reasons = append(h.Reasons, fmt.Sprintf("follower stalled: %d consecutive polls failed", n))
+	for k := range i.tasks {
+		t := &i.tasks[k]
+		if n := t.streak.Load(); n >= degradedThreshold {
+			h.Reasons = append(h.Reasons, fmt.Sprintf(t.reason, n))
+		}
 	}
 	h.Degraded = len(h.Reasons) > 0
 	return h
 }
 
-// maintain runs one supervised maintenance cycle: skip while backing off,
-// try once plus up to maintRetries immediate retries, then record the
-// outcome in the backoff state and the consecutive-failure gauge.
-func (i *Ingestor) maintain(bo *backoff, streak *atomic.Int64, retried, failed *atomic.Uint64, attempt func() bool) {
-	if !bo.due() {
-		return
-	}
-	for r := 0; r <= maintRetries; r++ {
-		if r > 0 && retried != nil {
-			retried.Add(1)
-		}
-		if attempt() {
-			bo.success()
-			streak.Store(0)
-			return
-		}
-	}
-	failed.Add(1)
-	bo.failure()
-	streak.Add(1)
+// startTasks fills the maintenance table. Disabled rows keep a nil ticker,
+// so their drainer arm never fires.
+func (i *Ingestor) startTasks() {
+	i.tasks[taskSave].start("saver failing: %d consecutive save cycles failed", i.saveAttempt, i.cfg.SaveInterval)
+	i.tasks[taskCompact].start("compactor backing off: %d consecutive compactions failed", i.compactAttempt, i.cfg.CompactInterval)
+	i.tasks[taskFollow].start("follower stalled: %d consecutive poll cycles failed", i.followPoll, i.cfg.FollowInterval)
 }
 
-// saveCycle is the drainer's periodic snapshot tick: saveAttempt with
-// bounded retry, exponential backoff across failed cycles, and the
-// state_save_failures / degraded accounting.
-func (i *Ingestor) saveCycle() {
-	i.maintain(&i.saveBo, &i.saveFailStreak, &i.saveRetries, &i.saveFailures, i.saveAttempt)
-}
-
-// compactCycle is the drainer's scheduled self-compaction tick. A journal
-// already compacted to one segment (and with nothing buffered or torn) is
-// left alone — the cycle is idempotent maintenance, not busywork.
-func (i *Ingestor) compactCycle() {
+// compactAttempt is the compactor row's attempt. A journal already
+// compacted to one segment (and with nothing buffered or torn) has nothing
+// to do, which counts as success: the cycle is idempotent maintenance, not
+// busywork.
+func (i *Ingestor) compactAttempt() error {
 	if i.journalSegs.Load() <= 1 && len(i.journal) == 0 && i.journalTrunc < 0 {
-		return
+		return nil
 	}
-	i.maintain(&i.compactBo, &i.compactFailStreak, nil, &i.compactFails, func() bool {
-		_, err := i.compactJournal()
-		return err == nil
-	})
+	_, err := i.compactJournal()
+	return err
 }
 
 // Compact quiesces the pipeline via the Pause/Resume handshake and
 // compacts the receipt journal now: pending receipts are flushed and the
 // STB1 chain is rewritten as a single segment, crash-safely (tmp + fsync +
 // rename — a crash leaves the old chain or the new segment, never a mix).
-// The explicit counterpart of the scheduled CompactInterval tick.
+// The explicit counterpart of the scheduled CompactInterval tick: one
+// attempt, recorded through the compactor row.
 func (i *Ingestor) Compact() (store.CompactStats, error) {
 	if i.cfg.JournalPath == "" {
 		return store.CompactStats{}, errors.New("stream: no journal configured")
@@ -156,12 +178,7 @@ func (i *Ingestor) Compact() (store.CompactStats, error) {
 	}
 	defer i.Resume()
 	stats, err := i.compactJournal()
-	if err != nil {
-		i.compactFails.Add(1)
-		i.compactFailStreak.Add(1)
-	} else {
-		i.compactFailStreak.Store(0)
-	}
+	i.tasks[taskCompact].record(err == nil)
 	return stats, err
 }
 
@@ -305,70 +322,74 @@ func (i *Ingestor) journalAppend(receipts []store.CustomerReceipt) error {
 	return nil
 }
 
-// followPoll is the drainer's follow-mode tick: poll the tailed file for
-// complete new segments and feed them through the standard barrier path.
+// followPoll is the follower row's attempt: poll the tailed file for
+// complete new segments and feed them through the per-receipt step.
 // ErrFileShrank (the file was compacted or replaced underneath the
-// follower) triggers an immediate resync followed by a fresh poll, so one
-// tick is enough to recover.
-func (i *Ingestor) followPoll() {
+// follower) triggers an immediate replay from byte zero followed by a
+// fresh poll, so one attempt is enough to recover.
+func (i *Ingestor) followPoll() error {
 	i.followPolls.Add(1)
 	st, err := i.follower.Poll()
-	if err != nil && errors.Is(err, store.ErrFileShrank) {
-		i.resyncFollower()
-		st, err = i.follower.Poll()
+	if errors.Is(err, store.ErrFileShrank) {
+		i.followResync.Add(1)
+		if err = i.replayFollowed(); err == nil {
+			st, err = i.follower.Poll()
+		}
 	}
 	if err != nil {
 		i.followErrs.Add(1)
-		i.followFailStreak.Add(1)
-		return
+		return err
 	}
-	i.followFailStreak.Store(0)
-	if st == nil || st.NumReceipts() == 0 {
-		return
+	if st != nil {
+		i.processFollowBatch(st)
 	}
-	i.processFollowBatch(st)
+	return nil
 }
 
-// processFollowBatch turns one polled store delta into the event feed:
-// receipts in already-closed windows are skipped (exactly the `monitor
-// -follow` staleness rule), the rest are visited in time order by
-// store.EachByTime and handed to the standard process loop, whose
+// processFollowBatch feeds one polled store delta to the per-receipt step:
+// receipts before the grid origin or in windows already closed when the
+// poll began are skipped (exactly the `monitor -follow` staleness rule), the
+// rest are visited in time order by store.EachByTime, and the step's
 // month-advance barriers implement the conservative close rule. Equal
 // timestamps break ties by customer id, then history position — the same
 // total order a sequential replay of the file uses, making poll batching
-// invisible in the output. The event slice lives only for the call: a
-// catch-up poll can hand over the whole chain at once.
+// invisible in the output. Like a queued batch, the poll counts as one
+// batch once it delivered a fresh receipt, and an ingest error ends it.
 func (i *Ingestor) processFollowBatch(s *store.Store) {
 	minK := i.lastClosedK + 1
-	evs := make([]ReceiptEvent, 0, s.NumReceipts())
+	fresh, ok := false, true
 	store.EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-		if !r.Time.Before(i.grid.origin) && i.windowOfMonth(i.monthIndex(r.Time)) >= minK {
-			evs = append(evs, ReceiptEvent{Customer: id, Time: r.Time, Items: r.Items})
+		if r.Time.Before(i.grid.origin) {
+			return true
 		}
-		return true
+		m := i.monthIndex(r.Time)
+		if i.windowOfMonth(m) < minK {
+			return true
+		}
+		fresh = true
+		ok = i.step(ReceiptEvent{Customer: id, Time: r.Time, Items: r.Items}, m)
+		return ok
 	})
-	if len(evs) == 0 {
-		return
+	if fresh && ok {
+		i.batches.Add(1)
 	}
-	i.process(evs)
 }
 
-// resyncFollower rebuilds the pipeline from the whole (compacted) file: a
-// fresh monitor replaces the current one under the swap lock, the follower
-// restarts from byte zero, and alerts for windows the old incarnation
-// already published are suppressed via suppressK — so the delivered alert
-// sequence and the SMN1 state stay byte-identical to a sequential replay
-// of the file, straight through the compaction.
-func (i *Ingestor) resyncFollower() {
-	i.followResync.Add(1)
+// replayFollowed rewinds the pipeline to replay the followed file from byte
+// zero, on a restart with restored state (before the drainer starts) and
+// on a resync after the file shrank. The watermark proves which windows an
+// earlier monitor already closed and published, so suppressK drops the
+// replay's alerts for them; a fresh monitor replaces the current one under
+// the swap lock (carrying its eviction count forward), and the follower
+// restarts at offset zero. The delivered alert sequence and the SMN1 state
+// stay byte-identical to a sequential replay of the file. (Replaying the
+// file beats resuming from a restored snapshot: one taken mid-month holds
+// pending partial baskets that the file would re-deliver, and
+// double-counting them would corrupt scores.)
+func (i *Ingestor) replayFollowed() error {
 	fresh, err := NewSharded(i.cfg.Monitor, i.cfg.Shards)
 	if err != nil {
-		// cfg was validated at construction, so this is unreachable in
-		// practice; leave the old monitor in place and let the next tick
-		// retry the resync (the follower still reports the shrink).
-		i.followErrs.Add(1)
-		i.followFailStreak.Add(1)
-		return
+		return err
 	}
 	if i.lastClosedK > i.suppressK {
 		i.suppressK = i.lastClosedK
@@ -383,25 +404,5 @@ func (i *Ingestor) resyncFollower() {
 	i.follower = store.NewFollower(i.cfg.FS, i.cfg.FollowPath)
 	i.maxMonth = math.MinInt / 2
 	i.lastClosedK = -1
-}
-
-// restartFollowReplay converts a restored-state start into a full-file
-// replay: the restored snapshot's watermark proves which windows the
-// previous run already closed and published, so the replay suppresses
-// those alerts and rebuilds everything else from the file. Runs before the
-// drainer starts. (Replaying the file beats resuming from the snapshot
-// here: a snapshot taken mid-month holds pending partial baskets that the
-// file would re-deliver, and double-counting them would corrupt scores.)
-func (i *Ingestor) restartFollowReplay() error {
-	fresh, err := NewSharded(i.cfg.Monitor, i.cfg.Shards)
-	if err != nil {
-		return err
-	}
-	old := i.mon
-	i.mon = fresh
-	old.Close()
-	i.suppressK = i.lastClosedK
-	i.lastClosedK = -1
-	i.maxMonth = math.MinInt / 2
 	return nil
 }

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -635,38 +638,174 @@ func TestJournalAppendFaultKeepsReceipts(t *testing.T) {
 	}
 }
 
-// TestSaveCycleBackoffAndDegradedFault drives the supervised saver through
-// persistent failure into the degraded health state and back: retries and
-// failures are counted, readiness degrades after the threshold, and a
-// healed disk restores both the saves and the health.
+// TestTaskBackoffSchedule drives one maintenance row tick by tick with an
+// attempt that fails until healed, pinning the supervised schedule: 1 +
+// maintRetries attempts per failed cycle, then 1, 2, 4 … maxBackoffTicks
+// skipped ticks, the streak and counters, and the reset on success.
+func TestTaskBackoffSchedule(t *testing.T) {
+	fails, attempts := 1<<30, 0
+	var tk task
+	tk.attempt = func() error {
+		attempts++
+		if fails > 0 {
+			fails--
+			return errors.New("injected")
+		}
+		return nil
+	}
+	tick := 0
+	// runTo ticks the row through tick last and returns how many attempts
+	// each tick that ran made.
+	runTo := func(last int) map[int]int {
+		ran := map[int]int{}
+		for tick < last {
+			tick++
+			before := attempts
+			tk.cycle()
+			if n := attempts - before; n > 0 {
+				ran[tick] = n
+			}
+		}
+		return ran
+	}
+	check := func(phase string, streak int64, failures, retries uint64) {
+		t.Helper()
+		if s, f, r := tk.streak.Load(), tk.failures.Load(), tk.retries.Load(); s != streak || f != failures || r != retries {
+			t.Fatalf("%s: streak=%d failures=%d retries=%d, want %d/%d/%d", phase, s, f, r, streak, failures, retries)
+		}
+	}
+
+	// Failing: each cycle after the first waits 2^(streak-1) ticks, capped.
+	want := map[int]int{1: 3, 3: 3, 6: 3, 11: 3, 20: 3, 37: 3, 70: 3}
+	if got := runTo(102); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failing schedule (tick: attempts) = %v, want %v", got, want)
+	}
+	check("failing", 7, 7, 14)
+
+	// Healed: the next due tick succeeds at once and clears the backoff.
+	fails = 0
+	if got, want := runTo(105), map[int]int{103: 1, 104: 1, 105: 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("healed schedule = %v, want %v", got, want)
+	}
+	check("healed", 0, 7, 14)
+
+	// A cycle rescued by a retry is a success: no failure, no backoff.
+	fails = 1
+	if got, want := runTo(107), map[int]int{106: 2, 107: 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retry-rescued schedule = %v, want %v", got, want)
+	}
+	check("rescued", 0, 7, 15)
+}
+
+// TestSaveCycleBackoffAndDegradedFault drives each maintenance row —
+// saver, compactor, follower — through a persistent faultfs failure into
+// the degraded health state and back: the row's reason names its failed
+// cycles, its counters agree with the schedule, and clearing the fault
+// heals the row and the health without a restart.
 func TestSaveCycleBackoffAndDegradedFault(t *testing.T) {
-	state := filepath.Join(t.TempDir(), "mon.smn")
-	in := faultfs.NewInjector(faultfs.OS{})
-	in.Arm(faultfs.Failpoint{Op: faultfs.OpCreate, PathSuffix: ".tmp", Persistent: true})
-	cfg := ingestorConfig(t, 2)
-	cfg.StatePath = state
-	cfg.SaveInterval = time.Millisecond
-	cfg.FS = in
-	ing, err := NewIngestor(cfg)
-	if err != nil {
-		t.Fatal(err)
+	feed := randomFeed(t, 65, 6, 120)
+	cases := []struct {
+		name   string
+		reason string
+		// config points the row at files in dir and arms its fault.
+		config func(t *testing.T, cfg *IngestorConfig, dir string, in *faultfs.Injector)
+		// failed checks the degraded row's counters and returns its failed
+		// cycles.
+		failed func(t *testing.T, m IngestorMetrics) uint64
+		// healed reports whether the row's work got done after the fault
+		// cleared.
+		healed func(m IngestorMetrics) bool
+	}{
+		{
+			name:   "saver",
+			reason: "saver failing: %d consecutive save cycles failed",
+			config: func(t *testing.T, cfg *IngestorConfig, dir string, in *faultfs.Injector) {
+				cfg.StatePath = filepath.Join(dir, "mon.smn")
+				cfg.SaveInterval = time.Millisecond
+				in.Arm(faultfs.Failpoint{Op: faultfs.OpCreate, PathSuffix: ".tmp", Persistent: true})
+			},
+			failed: func(t *testing.T, m IngestorMetrics) uint64 {
+				n := m.StateSaveFailures
+				if m.SaveRetries != 2*n || m.Saves != 3*n || m.SaveErrors != 3*n {
+					t.Errorf("after %d failed cycles: retries=%d saves=%d errors=%d, want %d/%d/%d",
+						n, m.SaveRetries, m.Saves, m.SaveErrors, 2*n, 3*n, 3*n)
+				}
+				return n
+			},
+			healed: func(m IngestorMetrics) bool { return m.Saves > m.SaveErrors },
+		},
+		{
+			name:   "compactor",
+			reason: "compactor backing off: %d consecutive compactions failed",
+			config: func(t *testing.T, cfg *IngestorConfig, dir string, in *faultfs.Injector) {
+				cfg.JournalPath = filepath.Join(dir, "receipts.stbj")
+				cfg.CompactInterval = time.Millisecond
+				buildJournalChain(t, feed, cfg.JournalPath)
+				in.Arm(faultfs.Failpoint{Op: faultfs.OpCreate, PathSuffix: ".stbj.tmp", Persistent: true})
+			},
+			failed: func(t *testing.T, m IngestorMetrics) uint64 {
+				if m.Compactions != 0 || m.JournalSegments < 2 {
+					t.Errorf("failing compactor: compactions=%d segments=%d, want 0 and the whole chain",
+						m.Compactions, m.JournalSegments)
+				}
+				return m.CompactionFailures
+			},
+			healed: func(m IngestorMetrics) bool { return m.Compactions == 1 && m.JournalSegments == 1 },
+		},
+		{
+			name:   "follower",
+			reason: "follower stalled: %d consecutive poll cycles failed",
+			config: func(t *testing.T, cfg *IngestorConfig, dir string, in *faultfs.Injector) {
+				cfg.FollowPath = filepath.Join(dir, "feed.stb")
+				cfg.FollowInterval = time.Millisecond
+				appendFeedSegment(t, cfg.FollowPath, feed)
+				in.Arm(faultfs.Failpoint{Op: faultfs.OpOpen, PathSuffix: "feed.stb", Persistent: true})
+			},
+			failed: func(t *testing.T, m IngestorMetrics) uint64 {
+				// Every poll fails, and a failed cycle polls 1+maintRetries
+				// times before it backs off.
+				if m.FollowPolls != m.FollowErrors || m.FollowErrors%(1+maintRetries) != 0 || m.ReceiptsIngested != 0 {
+					t.Errorf("stalled follower: polls=%d errors=%d ingested=%d, want %d polls per cycle, all failed, nothing ingested",
+						m.FollowPolls, m.FollowErrors, m.ReceiptsIngested, 1+maintRetries)
+				}
+				return m.FollowErrors / (1 + maintRetries)
+			},
+			healed: func(m IngestorMetrics) bool { return m.ReceiptsIngested == uint64(len(feed)) },
+		},
 	}
-	enqueueAll(t, ing, randomFeed(t, 65, 4, 60), 7)
-	waitFor(t, "saver to degrade", func() bool {
-		m := ing.Metrics()
-		return m.Degraded && m.StateSaveFailures >= degradedThreshold && m.SaveRetries > 0
-	})
-	if h := ing.Health(); !h.Degraded || len(h.Reasons) == 0 {
-		t.Fatalf("degraded health missing reasons: %+v", h)
-	}
-	in.Reset()
-	waitFor(t, "saver to heal", func() bool {
-		return !ing.Metrics().Degraded
-	})
-	if err := ing.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(state); err != nil {
-		t.Fatalf("healed saver never persisted state: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := faultfs.NewInjector(faultfs.OS{})
+			cfg := ingestorConfig(t, 2)
+			cfg.FS = in
+			tc.config(t, &cfg, t.TempDir(), in)
+			ing, err := NewIngestor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ing.Close()
+			waitFor(t, tc.name+" to degrade", func() bool { return ing.Metrics().Degraded })
+			// A parked drainer runs no cycle, so counters and health agree.
+			if err := ing.Pause(); err != nil {
+				t.Fatal(err)
+			}
+			n := tc.failed(t, ing.Metrics())
+			want := fmt.Sprintf(tc.reason, n)
+			if h := ing.Health(); n < degradedThreshold || len(h.Reasons) != 1 || h.Reasons[0] != want {
+				t.Fatalf("after %d failed cycles: health %+v, want the one reason %q", n, h, want)
+			}
+			ing.Resume()
+			in.Reset()
+			waitFor(t, tc.name+" to heal", func() bool {
+				m := ing.Metrics()
+				return !m.Degraded && tc.healed(m)
+			})
+			if h := ing.Health(); h.Degraded || len(h.Reasons) != 0 {
+				t.Fatalf("healed row still reports %+v", h)
+			}
+			if err := ing.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
