@@ -685,37 +685,43 @@ func BenchmarkGenerate(b *testing.B) {
 // scale: many tracked customers, one watermark barrier per op. With the
 // sorted-customer index a steady-state barrier is a linear scan plus the
 // per-customer window scoring — no O(n log n) re-sort of the whole
-// customer set per barrier. Alerts are suppressed (warm-up) so the
-// measurement isolates the barrier machinery.
+// customer set per barrier. In the customers-N rows warm-up suppresses
+// every alert, and a window that does not alert builds no explanation, so
+// they isolate the barrier sweep and the stability scan (0 allocs/op). The
+// alerting row makes every window alert (β just under 1, no warm-up,
+// TopJ 3), so it also times top-J blame selection and alert assembly.
 func BenchmarkMonitorCloseThrough(b *testing.B) {
 	grid, err := window.NewGrid(time.Date(2012, time.May, 1, 0, 0, 0, 0, time.UTC), window.Span{Months: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
+	basket := retail.NewBasket([]retail.ItemID{1, 2, 3, 4, 5, 6, 7, 8})
+	start, _ := grid.Bounds(0)
+	track := func(b *testing.B, cfg stream.Config, customers int) *stream.Monitor {
+		m, err := stream.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c := 1; c <= customers; c++ {
+			// Shuffled insertion order (stride walk) so the index merge
+			// path is exercised, not an already-sorted append.
+			id := retail.CustomerID((c*7919)%customers + 1)
+			if _, err := m.Ingest(id, start, basket); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return m
+	}
 	for _, customers := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("customers-%d", customers), func(b *testing.B) {
-			cfg := stream.Config{
+			m := track(b, stream.Config{
 				Grid:  grid,
 				Model: core.Options{Alpha: 2},
 				Beta:  0.6,
-				// Never alert: the benchmark targets the barrier sweep, not
+				// Never alert: the rows target the barrier sweep, not
 				// alert assembly.
 				WarmupWindows: 1 << 30,
-			}
-			m, err := stream.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			basket := retail.NewBasket([]retail.ItemID{1, 2, 3, 4, 5, 6, 7, 8})
-			start, _ := grid.Bounds(0)
-			for c := 1; c <= customers; c++ {
-				// Shuffled insertion order (stride walk) so the index merge
-				// path is exercised, not an already-sorted append.
-				id := retail.CustomerID((c*7919)%customers + 1)
-				if _, err := m.Ingest(id, start, basket); err != nil {
-					b.Fatal(err)
-				}
-			}
+			}, customers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -725,6 +731,20 @@ func BenchmarkMonitorCloseThrough(b *testing.B) {
 			}
 		})
 	}
+	b.Run("alerting/customers-1000", func(b *testing.B) {
+		const customers = 1000
+		m := track(b, stream.Config{Grid: grid, Model: core.Options{Alpha: 2}, Beta: 0.999, TopJ: 3}, customers)
+		// Window 0 has no prior history and cannot alert; every later
+		// (empty) window scores 0 and does.
+		m.CloseThrough(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			if a := m.CloseThrough(i); len(a) != customers {
+				b.Fatalf("barrier %d raised %d alerts, want %d", i, len(a), customers)
+			}
+		}
+	})
 }
 
 // BenchmarkMonitorBatchQuery measures the batch stability read path on the

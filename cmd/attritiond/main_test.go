@@ -155,3 +155,15 @@ func TestRunBadAddr(t *testing.T) {
 		t.Error("run accepted a bad origin")
 	}
 }
+
+// TestRunRejectsBadBeta: -beta must lie in [0,1). NaN is the value a
+// comparison-based range check lets through; the daemon must refuse it
+// like any other out-of-range β instead of serving with every defined
+// window past warm-up alerting.
+func TestRunRejectsBadBeta(t *testing.T) {
+	for _, beta := range []string{"NaN", "1.5", "-0.1"} {
+		if err := run([]string{"-addr", "127.0.0.1:0", "-beta", beta}, os.NewFile(0, os.DevNull)); err == nil {
+			t.Errorf("run accepted -beta %s", beta)
+		}
+	}
+}

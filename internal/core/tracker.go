@@ -73,10 +73,12 @@ type Result struct {
 	Drop float64
 	// Missing lists the seen-but-absent items (c>0, not in the window),
 	// most significant first — the paper's attrition explanation. Capped
-	// at Options.MaxBlame when non-zero.
+	// at Options.MaxBlame when non-zero, and at ObserveIf's j. Empty when
+	// the window was not explained (ObserveStability, a declined ObserveIf).
 	Missing []Blame
 	// NewItems lists items bought for the first time in this window; they
-	// have zero significance and affect nothing yet.
+	// have zero significance and affect nothing yet. Empty when the window
+	// was not explained.
 	NewItems []retail.ItemID
 	// Counted reports whether this window incremented the prior-window
 	// count (false only for leading empty windows under
@@ -154,10 +156,10 @@ func (t *Tracker) termSlow(d int32) float64 {
 // Observe feeds the next window's item set uk (must be a normalized basket)
 // and returns the window's Result. Stability is computed against the state
 // before this window (c and l count windows v < k), then the window is
-// folded into the counts.
+// folded into the counts. Every window is explained, with Missing capped at
+// Options.MaxBlame.
 func (t *Tracker) Observe(items retail.Basket) Result {
-	res := t.observe(items, true)
-	return res
+	return t.observe(items, 0, explainAlways)
 }
 
 // ObserveStability is Observe without building blame and new-item lists —
@@ -165,10 +167,29 @@ func (t *Tracker) Observe(items retail.Basket) Result {
 // and NewItems, and the steady state (no first-seen items in the window)
 // performs no allocations.
 func (t *Tracker) ObserveStability(items retail.Basket) Result {
-	return t.observe(items, false)
+	return t.observe(items, 0, nil)
 }
 
-func (t *Tracker) observe(items retail.Basket, explain bool) Result {
+// ObserveIf is Observe that explains only the windows the caller asks
+// about. The window is scored against the prior state, then explain
+// receives that Result — Stability, Defined, Drop and Counted final,
+// Missing and NewItems still empty, the window not yet folded in. When it
+// returns true, Missing is filled with the first j entries of the list
+// Observe would build (the whole list when j ≤ 0; Options.MaxBlame still
+// caps it) and NewItems is built; then the window is folded in. Stability,
+// the explained lists and the tracker state are bit-identical to Observe's.
+// explain may read the tracker (Windows does not count this window yet) but
+// must not feed it windows. A window it declines costs no allocation beyond
+// what ObserveStability makes.
+func (t *Tracker) ObserveIf(items retail.Basket, j int, explain func(Result) bool) Result {
+	return t.observe(items, j, explain)
+}
+
+func explainAlways(Result) bool { return true }
+
+// observe is the one window step: score against the prior state, ask
+// explain (nil: never) whether to build the lists, build them, then fold.
+func (t *Tracker) observe(items retail.Basket, topJ int, explain func(Result) bool) Result {
 	res := Result{Seq: t.seq}
 	t.seq++
 
@@ -187,9 +208,10 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 	// keeps the non-associative float sums bit-identical across runs,
 	// restores and worker counts. The repertoire and the basket are both
 	// sorted, so membership is a sorted merge, not a lookup per item.
+	maxC := t.maxCount
+	var num, den float64
+	hits := 0 // repertoire items present in the window
 	if len(t.items) > 0 {
-		maxC := t.maxCount
-		var num, den float64
 		j := 0
 		for i, p := range t.items {
 			term := t.term(maxC - t.counts[i])
@@ -199,6 +221,7 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 			}
 			if j < len(items) && items[j] == p {
 				num += term
+				hits++
 				j++
 			}
 		}
@@ -207,9 +230,6 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 			res.Stability = num / den
 			if res.Stability > 1 {
 				res.Stability = 1 // guard against rounding
-			}
-			if explain {
-				res.Missing = t.blame(items, maxC, den)
 			}
 		}
 	}
@@ -220,19 +240,29 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 		res.Drop = t.prevStability - res.Stability
 	}
 	t.prevStability, t.prevDefined = res.Stability, res.Defined
+	// A leading empty window under CountFromFirstSeen records nothing.
+	res.Counted = !skipCount
 
-	if explain {
+	if explain != nil && explain(res) {
+		if res.Defined {
+			res.Missing = t.blame(items, maxC, den, len(t.items)-hits, t.blameCap(topJ))
+		}
 		res.NewItems = t.newItems(items)
 	}
-	if !skipCount {
-		res.Counted = true
+	if res.Counted {
 		t.windows++
 		t.fold(items)
-	} else {
-		// Leading empty window under CountFromFirstSeen: nothing recorded.
-		res.Counted = false
 	}
 	return res
+}
+
+// blameCap is the number of blame entries a window keeps: the smaller of
+// topJ and MaxBlame, counting only the ones that are set (0 = no cap).
+func (t *Tracker) blameCap(topJ int) int {
+	if m := t.opts.MaxBlame; m > 0 && (topJ <= 0 || m < topJ) {
+		return m
+	}
+	return max(topJ, 0)
 }
 
 // newItems lists the basket items absent from the repertoire, in basket
@@ -310,10 +340,21 @@ func (t *Tracker) fold(items retail.Basket) {
 	}
 }
 
-// blame builds the sorted missing-item list for the current window with the
-// same repertoire × basket merge the stability scan uses.
-func (t *Tracker) blame(items retail.Basket, maxC int32, den float64) []Blame {
-	missing := make([]Blame, 0, 8)
+// blame lists the window's missing items — the n repertoire items absent
+// from the basket — most significant first: Net descending, then Item
+// ascending, keeping the first limit entries (limit ≤ 0: all). The order is
+// total, so the kept entries are the same whether the whole list is sorted
+// and truncated or selected in one pass; with 0 < limit < n it selects. The
+// scan visits items in ascending order, so an entry that ties the last kept
+// one on Net ranks after it, and only a strictly larger Net displaces it.
+// The result's capacity is its length: a caller that keeps it holds no
+// scan-sized array.
+func (t *Tracker) blame(items retail.Basket, maxC int32, den float64, n, limit int) []Blame {
+	selecting := limit > 0 && limit < n
+	if !selecting {
+		limit = n
+	}
+	out := make([]Blame, 0, limit)
 	j := 0
 	for i, p := range t.items {
 		for j < len(items) && items[j] < p {
@@ -325,23 +366,38 @@ func (t *Tracker) blame(items retail.Basket, maxC int32, den float64) []Blame {
 		}
 		c := t.counts[i]
 		net := int(2*c - t.windows)
-		missing = append(missing, Blame{
+		if selecting && len(out) == limit && net <= out[limit-1].Net {
+			continue
+		}
+		b := Blame{
 			Item:            p,
 			Net:             net,
 			LogSignificance: float64(net) * t.logA,
 			Share:           t.term(maxC-c) / den,
+		}
+		if !selecting {
+			out = append(out, b)
+			continue
+		}
+		pos := len(out)
+		for pos > 0 && out[pos-1].Net < net {
+			pos--
+		}
+		if len(out) < limit {
+			out = append(out, Blame{})
+		}
+		copy(out[pos+1:], out[pos:len(out)-1])
+		out[pos] = b
+	}
+	if !selecting {
+		slices.SortFunc(out, func(a, b Blame) int {
+			if a.Net != b.Net {
+				return cmp.Compare(b.Net, a.Net)
+			}
+			return cmp.Compare(a.Item, b.Item)
 		})
 	}
-	slices.SortFunc(missing, func(a, b Blame) int {
-		if a.Net != b.Net {
-			return cmp.Compare(b.Net, a.Net)
-		}
-		return cmp.Compare(a.Item, b.Item)
-	})
-	if t.opts.MaxBlame > 0 && len(missing) > t.opts.MaxBlame {
-		missing = missing[:t.opts.MaxBlame]
-	}
-	return missing
+	return out
 }
 
 // find returns the column index of item p, or ok=false when p has never

@@ -261,7 +261,8 @@ func (s *ShardedMonitor) CloseThrough(k int) ([]Alert, error) {
 // EvictIdle drains every shard and applies Monitor.EvictIdle(k) on each,
 // returning the merged alerts in canonical order plus the number of
 // customers evicted across shards. A CloseThrough barrier already evicts
-// inline; this is the explicit sweep the ingestion TTL job drives.
+// inline; this is the explicit sweep NewIngestor runs after restoring a
+// snapshot taken under a longer (or no) horizon.
 func (s *ShardedMonitor) EvictIdle(k int) ([]Alert, int, error) {
 	if s.closed.Load() {
 		return nil, 0, ErrClosed

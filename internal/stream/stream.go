@@ -40,10 +40,6 @@ type Config struct {
 	Beta float64
 	// TopJ caps the blamed products attached to each alert (0 = all).
 	TopJ int
-	// AlertOnUndefined controls whether windows with no prior history
-	// (stability = 1 by convention, Defined = false) can alert. Default
-	// false: a brand-new customer is not defecting.
-	AlertOnUndefined bool
 	// WarmupWindows suppresses alerts until the customer has at least this
 	// many counted windows of history. Early windows score against a thin
 	// significance profile and alert noisily (cold start); 3–4 windows of
@@ -64,7 +60,7 @@ func (c Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
-	if c.Beta < 0 || c.Beta >= 1 {
+	if !(c.Beta >= 0 && c.Beta < 1) {
 		return fmt.Errorf("stream: beta must be in [0,1), got %v", c.Beta)
 	}
 	if c.TopJ < 0 {
@@ -156,7 +152,10 @@ func New(cfg Config) (*Monitor, error) {
 }
 
 // OnScored registers a hook receiving every closed window in scoring
-// order. Pass nil to remove.
+// order. Pass nil to remove. While a hook is registered every window builds
+// its full explanation (Result.Missing capped only by Model.MaxBlame, plus
+// NewItems), as Tracker.Observe does; without one, only the windows that
+// alert are explained, and only to their TopJ entries.
 func (m *Monitor) OnScored(fn func(Scored)) { m.scoredHook = fn }
 
 // Customers returns the number of customers currently tracked.
@@ -224,19 +223,33 @@ func (m *Monitor) horizonLimit(st *custState) (limit int, bounded bool) {
 // configured, k is clamped to the customer's horizon: windows past it are
 // never scored, no matter how late the closing barrier arrives, so the
 // scored-window set is independent of barrier timing.
+//
+// Each window is scored before the tracker folds it in, and the alert rule
+// decides on that score whether the window needs an explanation: only an
+// alerting window builds its blame list, and only its first TopJ entries.
+// A registered OnScored hook gets every window fully explained instead.
 func (m *Monitor) closeThrough(id retail.CustomerID, st *custState, k int) []Alert {
 	if limit, bounded := m.horizonLimit(st); bounded && k > limit {
 		k = limit
 	}
+	hooked := m.scoredHook != nil
+	j := m.cfg.TopJ
+	if hooked {
+		j = 0
+	}
 	var alerts []Alert
 	for st.openK <= k {
-		res := st.tracker.Observe(st.pending)
-		st.pending = st.pending[:0] // Observe retains nothing; keep the buffer
-		if m.scoredHook != nil {
+		alert := false
+		res := st.tracker.ObserveIf(st.pending, j, func(r core.Result) bool {
+			alert = m.alerting(st, r)
+			return alert || hooked
+		})
+		st.pending = st.pending[:0] // the tracker retains nothing; keep the buffer
+		if hooked {
 			m.scoredHook(Scored{Customer: id, GridIndex: st.openK, Result: res})
 		}
-		if a, ok := m.toAlert(id, st, res); ok {
-			alerts = append(alerts, a)
+		if alert {
+			alerts = append(alerts, m.toAlert(id, st, res))
 		}
 		st.lastStability, st.lastDefined = res.Stability, res.Defined
 		st.lastScoredK = st.openK
@@ -246,18 +259,17 @@ func (m *Monitor) closeThrough(id retail.CustomerID, st *custState, k int) []Ale
 	return alerts
 }
 
-func (m *Monitor) toAlert(id retail.CustomerID, st *custState, res core.Result) (Alert, bool) {
-	if !res.Defined && !m.cfg.AlertOnUndefined {
-		return Alert{}, false
-	}
-	// tracker.Windows() already includes the just-scored window; warm-up
-	// requires that many windows *before* the scored one.
-	if st.tracker.Windows()-1 < m.cfg.WarmupWindows {
-		return Alert{}, false
-	}
-	if res.Stability > m.cfg.Beta {
-		return Alert{}, false
-	}
+// alerting is the alert rule, applied to a scored window before the
+// tracker folds it in. An undefined window (no prior history; stability 1
+// by convention, so never ≤ β) does not alert. Warm-up requires that many
+// counted windows before the scored one: a defined window is always
+// counted, and the tracker's Windows() does not include it yet.
+func (m *Monitor) alerting(st *custState, res core.Result) bool {
+	return res.Defined && st.tracker.Windows() >= m.cfg.WarmupWindows && res.Stability <= m.cfg.Beta
+}
+
+// toAlert builds the alert for a window the alert rule flagged.
+func (m *Monitor) toAlert(id retail.CustomerID, st *custState, res core.Result) Alert {
 	start, end := m.cfg.Grid.Bounds(st.openK)
 	blame := res.Missing
 	if m.cfg.TopJ > 0 && len(blame) > m.cfg.TopJ {
@@ -275,7 +287,7 @@ func (m *Monitor) toAlert(id retail.CustomerID, st *custState, res core.Result) 
 		Stability: res.Stability,
 		Drop:      drop,
 		Blame:     blame,
-	}, true
+	}
 }
 
 // mergeIDs folds the customers first seen since the last merge into the
@@ -346,8 +358,8 @@ func (m *Monitor) CloseThrough(k int) []Alert {
 // grid index k: their remaining windows inside the horizon are scored
 // (empty, possibly alerting) and the state is freed. CloseThrough applies
 // the same rule inline, so under a steadily advancing feed a sweep finds
-// nothing; EvictIdle exists for explicit sweeps — the ingestion TTL job,
-// and restores of a snapshot taken under a longer (or no) horizon. It
+// nothing; EvictIdle exists for the one explicit sweep, after a restore of
+// a snapshot taken under a longer (or no) horizon (NewIngestor runs it). It
 // returns the alerts raised and the number of customers evicted, and is a
 // no-op when RetentionWindows is 0.
 func (m *Monitor) EvictIdle(k int) ([]Alert, int) {

@@ -64,6 +64,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNaNBeta: NaN fails every comparison, so a range check
+// written as "reject if out of range" lets it through, and a NaN β would
+// make every defined window past warm-up alert.
+func TestConfigRejectsNaNBeta(t *testing.T) {
+	cfg := testConfig(t, math.NaN())
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("beta=NaN accepted")
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted beta=NaN")
+	}
+	if _, err := NewSharded(cfg, 2); err == nil {
+		t.Fatal("NewSharded accepted beta=NaN")
+	}
+}
+
 func TestMonitorAlertsOnErosion(t *testing.T) {
 	g := testGrid(t)
 	m, err := New(testConfig(t, 0.7))
@@ -236,9 +252,8 @@ func TestMonitorUndefinedWindowsDoNotAlertByDefault(t *testing.T) {
 		t.Fatalf("undefined window alerted: %+v", alerts)
 	}
 
-	// With AlertOnUndefined and beta ~1... stability 1 > beta still no
-	// alert; use an empty leading window instead.
-	cfg.AlertOnUndefined = true
+	// Stability 1 > beta, so no alert with beta ~1 either; use an empty
+	// leading window instead.
 	m2, _ := New(cfg)
 	if _, err := m2.Ingest(3, at(g, 1, 1), b); err != nil {
 		t.Fatal(err)
