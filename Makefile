@@ -127,8 +127,8 @@ profile: ## capture cpu.pprof + heap.pprof from $(PROFILE_BENCH); inspect with `
 
 fault-log: ## verbose fault-injection + crash-recovery test log -> faultlog.txt (CI artifact); still exits non-zero on failure
 	@$(GO) test -v -count=1 \
-		-run 'Crash|Fault|Injector|TornTail|Corrupt|Truncat|StaleTmp|Shrunk|Resync|Panic|Degrad' \
-		./internal/faultfs/ ./internal/store/ ./internal/stream/ ./internal/serve/ > faultlog.txt; rc=$$?; \
+		-run 'Crash|Fault|Injector|TornTail|Corrupt|Truncat|StaleTmp|Shrunk|Resync|Resume|Panic|Degrad' \
+		./internal/faultfs/ ./internal/store/ ./internal/stream/ ./internal/serve/ ./cmd/attrition/ > faultlog.txt; rc=$$?; \
 	echo "wrote faultlog.txt"; exit $$rc
 
 clean: ## drop generated/untracked artifacts (coverage, smoke benches, lint + fault logs) and the Go build cache for this module

@@ -165,3 +165,139 @@ func TestCmdMonitorFollowNoData(t *testing.T) {
 		t.Fatal("state written despite no data")
 	}
 }
+
+// followFlags are the monitor flags every follow session and its one-shot
+// reference share.
+var followFlags = []string{"-beta", "0.6", "-shards", "3", "-max-show", "100000"}
+
+// genFollowData writes a 24-month binary dataset (extended by -extend 4 per
+// call of the returned grow) and returns its path.
+func genFollowData(t *testing.T) (data string, grow func() error) {
+	t.Helper()
+	data = filepath.Join(t.TempDir(), "r.stb")
+	common := []string{"-out", data, "-months", "24", "-customers", "40", "-seed", "11"}
+	captureStdout(t, func() error { return cmdGen(common) })
+	return data, func() error { return cmdGen(append([]string{"-extend", "4"}, common...)) }
+}
+
+// followSession runs monitor -follow on data with followFlags and -state
+// until SIGTERM arrives after d, and returns what it printed and returned.
+func followSession(t *testing.T, data, state string, d time.Duration) (out string, err error) {
+	t.Helper()
+	out = captureStdout(t, func() error {
+		stop := time.AfterFunc(d, func() { _ = syscall.Kill(os.Getpid(), syscall.SIGTERM) })
+		defer stop.Stop()
+		err = cmdMonitor(append([]string{"-data", data, "-follow", "-poll", "5ms", "-state", state}, followFlags...))
+		return nil
+	})
+	return out, err
+}
+
+// matchOneShot fails unless the follow alert lines and the state file at
+// state equal those of a one-shot -state replay of data.
+func matchOneShot(t *testing.T, data string, got []string, state string) {
+	t.Helper()
+	oneState := filepath.Join(t.TempDir(), "oneshot.smn")
+	oneOut := captureStdout(t, func() error {
+		return cmdMonitor(append([]string{"-data", data, "-state", oneState}, followFlags...))
+	})
+	want := alertLines(oneOut)
+	if len(want) == 0 {
+		t.Fatal("no alerts fired — test dataset too benign to pin anything")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("follow alerts differ from one-shot replay:\nfollow (%d):\n%s\none-shot (%d):\n%s",
+			len(got), strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
+	}
+	a, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(oneState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("follow state differs from one-shot replay state")
+	}
+}
+
+// TestCmdMonitorFollowResyncAfterCompact compacts the tailed chain under a
+// live follow session and then extends it: the session resyncs once and
+// still prints exactly the alerts, and persists exactly the state, of a
+// one-shot replay of the final file.
+func TestCmdMonitorFollowResyncAfterCompact(t *testing.T) {
+	data, grow := genFollowData(t)
+	if err := grow(); err != nil { // two segments, so compaction rewrites the file
+		t.Fatal(err)
+	}
+	compact := time.AfterFunc(300*time.Millisecond, func() {
+		if _, err := stability.CompactSnapshotFile(data, time.Time{}); err != nil {
+			t.Error(err)
+		}
+	})
+	defer compact.Stop()
+	extend := time.AfterFunc(600*time.Millisecond, func() {
+		if err := grow(); err != nil {
+			t.Error(err)
+		}
+	})
+	defer extend.Stop()
+	state := filepath.Join(t.TempDir(), "follow.smn")
+	out, err := followSession(t, data, state, 1200*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, " 1 resyncs)") {
+		t.Fatalf("compaction under the session did not resync exactly once:\n%s", out)
+	}
+	matchOneShot(t, data, alertLines(out), state)
+}
+
+// TestCmdMonitorFollowResume runs two follow sessions on one -state, the
+// file growing between them: together they print exactly the alerts, and
+// leave exactly the state, of a one-shot replay of the final file.
+func TestCmdMonitorFollowResume(t *testing.T) {
+	data, grow := genFollowData(t)
+	state := filepath.Join(t.TempDir(), "follow.smn")
+	var lines []string
+	for session := 0; session < 2; session++ {
+		if session > 0 {
+			if err := grow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := followSession(t, data, state, 500*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, alertLines(out)...)
+	}
+	matchOneShot(t, data, lines, state)
+}
+
+// TestCmdMonitorFollowCorruptDegraded tails a valid chain followed by
+// garbage: the follower degrades, and the session persists -state for the
+// valid receipts and returns an error naming the degraded reason and the
+// decode failure behind it.
+func TestCmdMonitorFollowCorruptDegraded(t *testing.T) {
+	data, _ := genFollowData(t)
+	valid := filepath.Join(t.TempDir(), "valid.stb")
+	raw, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(valid, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(data, append(raw, "XXXXXXXXXXXXXXXX"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(t.TempDir(), "follow.smn")
+	// The SIGTERM only bounds a session that never degrades.
+	out, err := followSession(t, data, state, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "follower stalled") || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("corrupt chain: err = %v, want the degraded reason and the bad magic cause", err)
+	}
+	matchOneShot(t, valid, alertLines(out), state)
+}

@@ -64,7 +64,8 @@ subcommands:
   explain   print one customer's stability drops and the blamed products
   evaluate  AUROC of defection detection against labels, per window
   monitor   replay a dataset as a live feed and print attrition alerts
-            (-follow tails a growing snapshot file until SIGTERM)
+            (-follow tails a growing snapshot file with attritiond's follow
+            pipeline, resyncing after a compaction, until SIGTERM)
   compact   rewrite a snapshot's appended segment chain as one segment,
             optionally evicting receipts older than a cutoff
   segments  rank gateway segments (whose loss explains defection) population-wide

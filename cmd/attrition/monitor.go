@@ -18,7 +18,8 @@ import (
 // sharded streaming monitor and prints every alert, demonstrating the
 // production deployment shape of the model on recorded data. Alerts are
 // collected at each window boundary (the feed's watermark), so output is
-// deterministic for any -shards value.
+// deterministic for any -shards value. The batch replay is the one-shot
+// reference a -follow session's output is checked against.
 //
 // With -state, the monitor becomes an incremental consumer of a growing
 // dataset: the first run processes the file and persists the monitor
@@ -32,6 +33,8 @@ import (
 // later windows stay open (their pending baskets persist in the snapshot,
 // and they are scored once a later run proves them covered) instead of
 // being force-closed.
+//
+// With -follow, the file is tailed instead of replayed; see runFollow.
 func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
 	var (
@@ -44,19 +47,24 @@ func cmdMonitor(args []string) error {
 		shards    = fs.Int("shards", 0, "ingestion shards (customer-hash partitions); 0 = GOMAXPROCS")
 		state     = fs.String("state", "", "monitor snapshot path: restore from it when present, feed only new windows, persist back (incremental replay of a growing dataset)")
 		maxShow   = fs.Int("max-show", 50, "maximum alerts to print (summary always shown)")
-		follow    = fs.Bool("follow", false, "tail -data (a binary snapshot segment chain) for appended segments instead of exiting at end of file; SIGTERM exits cleanly, persisting -state")
+		follow    = fs.Bool("follow", false, "tail -data (a binary snapshot segment chain) for appended segments instead of exiting at end of file, resyncing when it is compacted; SIGTERM exits cleanly, persisting -state")
 		poll      = fs.Duration("poll", 2*time.Second, "poll interval in -follow mode")
 		retention = fs.Int("retention", 0, "retention horizon in windows: customers silent that long are scored through the horizon and evicted; 0 keeps everyone forever")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// cfg is complete once the dataset's first receipt fixes the grid.
+	cfg := stability.MonitorConfig{
+		Model:            stability.Options{Alpha: *alpha},
+		Beta:             *beta,
+		TopJ:             *topJ,
+		WarmupWindows:    *warmup,
+		RetentionWindows: *retention,
+	}
+	out := &alertPrinter{max: *maxShow}
 	if *follow {
-		return runFollow(followParams{
-			data: *data, span: *span, alpha: *alpha, beta: *beta, topJ: *topJ,
-			warmup: *warmup, shards: *shards, state: *state, maxShow: *maxShow,
-			poll: *poll, retention: *retention,
-		})
+		return runFollow(cfg, *data, *state, *span, *shards, *poll, out)
 	}
 	st, err := loadStore(*data)
 	if err != nil {
@@ -70,14 +78,7 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := stability.MonitorConfig{
-		Grid:             grid,
-		Model:            stability.Options{Alpha: *alpha},
-		Beta:             *beta,
-		TopJ:             *topJ,
-		WarmupWindows:    *warmup,
-		RetentionWindows: *retention,
-	}
+	cfg.Grid = grid
 	monitor, resumeK, err := openMonitor(cfg, *state, *shards)
 	if err != nil {
 		return err
@@ -101,23 +102,6 @@ func cmdMonitor(args []string) error {
 		fmt.Printf("resuming at window %d: %d receipts already processed, %d new\n", resumeK, skipped, len(feed))
 	}
 
-	shown, total := 0, 0
-	emit := func(alerts []stability.Alert) {
-		for _, a := range alerts {
-			total++
-			if shown >= *maxShow {
-				continue
-			}
-			shown++
-			parts := make([]string, 0, len(a.Blame))
-			for _, b := range a.Blame {
-				parts = append(parts, fmt.Sprintf("item %d (share %.2f)", b.Item, b.Share))
-			}
-			fmt.Printf("%s customer %-8d stability %.3f  missing: %s\n",
-				a.End.Format("2006-01"), a.Customer, a.Stability, strings.Join(parts, ", "))
-		}
-	}
-
 	lastK := resumeK
 	for _, ev := range feed {
 		k := grid.Index(ev.r.Time)
@@ -126,7 +110,7 @@ func cmdMonitor(args []string) error {
 			if err != nil {
 				return fmt.Errorf("close through window %d: %w", k-1, err)
 			}
-			emit(alerts)
+			out.add(alerts...)
 			lastK = k
 		}
 		if err := monitor.Ingest(ev.id, ev.r.Time, ev.r.Items); err != nil {
@@ -150,12 +134,12 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return fmt.Errorf("close through window %d: %w", closeK, err)
 	}
-	emit(alerts)
+	out.add(alerts...)
 	final, err := monitor.Close()
 	if err != nil {
 		return fmt.Errorf("monitor close: %w", err)
 	}
-	emit(final)
+	out.add(final...)
 	if *state != "" {
 		if err := saveMonitorState(*state, monitor); err != nil {
 			return err
@@ -163,177 +147,133 @@ func cmdMonitor(args []string) error {
 		fmt.Printf("state saved to %s (watermark window %d)\n", *state, closeK+1)
 	}
 	fmt.Fprintf(os.Stdout, "\n%d alerts over %d customers (%d shards, %d shown)\n",
-		total, monitor.Customers(), monitor.Shards(), shown)
+		out.total, monitor.Customers(), monitor.Shards(), out.shown)
 	return nil
 }
 
-type followParams struct {
-	data      string
-	span      int
-	alpha     float64
-	beta      float64
-	topJ      int
-	warmup    int
-	shards    int
-	state     string
-	maxShow   int
-	poll      time.Duration
-	retention int
+// alertPrinter prints alerts one line each, up to max of them, and counts
+// every alert it is handed.
+type alertPrinter struct {
+	max, shown, total int
 }
 
-// runFollow is `monitor -follow`: instead of replaying a finished file, it
-// tails a growing binary snapshot chain by polling (stat size + decode the
-// new segments — no inotify), feeding each appended batch through the
-// sharded monitor. Torn tails from a writer caught mid-append are retried
-// quietly from the last good segment boundary; real corruption and a file
-// that shrank (compacted underneath us) abort loudly.
+func (p *alertPrinter) add(alerts ...stability.Alert) {
+	for _, a := range alerts {
+		p.total++
+		if p.shown >= p.max {
+			continue
+		}
+		p.shown++
+		parts := make([]string, 0, len(a.Blame))
+		for _, b := range a.Blame {
+			parts = append(parts, fmt.Sprintf("item %d (share %.2f)", b.Item, b.Share))
+		}
+		fmt.Printf("%s customer %-8d stability %.3f  missing: %s\n",
+			a.End.Format("2006-01"), a.Customer, a.Stability, strings.Join(parts, ", "))
+	}
+}
+
+// runFollow is `monitor -follow`: it tails the growing binary snapshot
+// chain at data with the follow task of a stability.Ingestor — the
+// pipeline `attritiond -follow` runs — and prints the alerts it publishes.
+// The CLI itself only probes the file until its first complete segments
+// fix the grid origin: the same derivation a batch replay of the file
+// makes, since those segments start at byte zero and appends never
+// precede them. From then on the Ingestor polls the file, drops receipts
+// for windows already closed, closes only windows that ended at or before
+// the start of the newest receipt's month (the -state rule), resyncs when
+// the file is compacted underneath it, and restores -state by replaying
+// the file from byte zero with already-published alerts suppressed. Alerts
+// printed across follow sessions are therefore exactly what incremental
+// -state replays of the same file print.
 //
-// Windows are closed per batch under the same conservative rule -state
-// replays use: only windows that ended at or before the start of the month
-// containing the newest receipt seen so far, because the stream can never
-// prove the current month is complete. Alerts printed across the whole
-// follow session are therefore exactly what incremental -state replays of
-// the same file would print. SIGTERM or SIGINT exits cleanly, persisting
-// -state so the next run (follow or batch) resumes at the watermark.
-func runFollow(p followParams) error {
-	if p.data == "" {
+// SIGTERM or SIGINT drains the pipeline, persists -state and prints the
+// remaining alerts. So does a follower that stays degraded (the file keeps
+// failing to read or decode), which then returns the degraded reason and
+// its cause.
+func runFollow(cfg stability.MonitorConfig, data, state string, span, shards int, poll time.Duration, out *alertPrinter) error {
+	if data == "" {
 		return fmt.Errorf("monitor -follow: -data is required")
 	}
-	if p.poll <= 0 {
+	if poll <= 0 {
 		return fmt.Errorf("monitor -follow: -poll must be positive")
 	}
-	fol := stability.NewSnapshotFollower(p.data)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
-	tick := time.NewTicker(p.poll)
+	tick := time.NewTicker(poll)
 	defer tick.Stop()
 
-	var (
-		monitor     *stability.ShardedMonitor
-		grid        stability.Grid
-		lastK       int       // watermark: first window not yet closed
-		maxSeen     time.Time // newest receipt timestamp across all batches
-		shown       int
-		total       int
-		skippedLate int // receipts for windows already closed (out-of-contract appends)
-	)
-	emit := func(alerts []stability.Alert) {
-		for _, a := range alerts {
-			total++
-			if shown >= p.maxShow {
-				continue
-			}
-			shown++
-			parts := make([]string, 0, len(a.Blame))
-			for _, b := range a.Blame {
-				parts = append(parts, fmt.Sprintf("item %d (share %.2f)", b.Item, b.Share))
-			}
-			fmt.Printf("%s customer %-8d stability %.3f  missing: %s\n",
-				a.End.Format("2006-01"), a.Customer, a.Stability, strings.Join(parts, ", "))
-		}
-	}
-
-	ingestBatch := func(batch *stability.Store) error {
-		min, max, ok := batch.TimeRange()
-		if !ok {
-			return nil
-		}
-		if monitor == nil {
-			// First data decides the grid origin — the same derivation a
-			// batch replay of this file would make, since the first poll
-			// returns the file from byte zero and appends never precede it.
-			g, err := stability.NewGrid(min, p.span)
-			if err != nil {
-				return err
-			}
-			grid = g
-			cfg := stability.MonitorConfig{
-				Grid:             grid,
-				Model:            stability.Options{Alpha: p.alpha},
-				Beta:             p.beta,
-				TopJ:             p.topJ,
-				WarmupWindows:    p.warmup,
-				RetentionWindows: p.retention,
-			}
-			m, resumeK, err := openMonitor(cfg, p.state, p.shards)
-			if err != nil {
-				return err
-			}
-			monitor, lastK = m, resumeK
-			if resumeK > 0 {
-				fmt.Printf("resuming at window %d\n", resumeK)
-			}
-		}
-		var ingestErr error
-		store.EachByTime(batch, func(id stability.CustomerID, r stability.Receipt) bool {
-			if grid.Index(r.Time) < lastK {
-				skippedLate++
-				return true
-			}
-			if err := monitor.Ingest(id, r.Time, r.Items); err != nil {
-				ingestErr = fmt.Errorf("ingest customer %d: %w", id, err)
-				return false
-			}
-			return true
-		})
-		if ingestErr != nil {
-			return ingestErr
-		}
-		if max.After(maxSeen) {
-			maxSeen = max
-		}
-		lastMonthStart := grid.Origin().AddDate(0, grid.MonthIndex(maxSeen), 0)
-		if closeK := grid.Index(lastMonthStart) - 1; closeK >= lastK {
-			alerts, err := monitor.CloseThrough(closeK)
-			if err != nil {
-				return fmt.Errorf("close through window %d: %w", closeK, err)
-			}
-			emit(alerts)
-			lastK = closeK + 1
-		}
-		return nil
-	}
-
-	fmt.Printf("following %s (poll %v); SIGTERM to stop\n", p.data, p.poll)
-	for running := true; running; {
-		batch, err := fol.Poll()
+	fmt.Printf("following %s (poll %v); SIGTERM to stop\n", data, poll)
+	probe := stability.NewSnapshotFollower(data)
+	for {
+		batch, err := probe.Poll()
 		if err != nil {
 			return err
 		}
 		if batch != nil {
-			if err := ingestBatch(batch); err != nil {
-				return err
+			if min, _, ok := batch.TimeRange(); ok {
+				if cfg.Grid, err = stability.NewGrid(min, span); err != nil {
+					return err
+				}
+				break
 			}
 		}
 		select {
 		case <-sig:
-			running = false
+			fmt.Println("stopped before any data arrived")
+			return nil
 		case <-tick.C:
 		}
 	}
-
-	if monitor == nil {
-		fmt.Println("stopped before any data arrived")
-		return nil
-	}
-	final, err := monitor.Close()
+	ing, err := stability.NewIngestor(stability.IngestorConfig{
+		Monitor: cfg, Shards: shards, StatePath: state, FollowPath: data, FollowInterval: poll,
+	})
 	if err != nil {
-		return fmt.Errorf("monitor close: %w", err)
+		return err
 	}
-	emit(final)
-	if p.state != "" {
-		if err := saveMonitorState(p.state, monitor); err != nil {
-			return err
+
+	var after uint64
+	show := func() <-chan struct{} {
+		alerts, oldest, wait := ing.AlertsSince(after, 0)
+		if after+1 < oldest && out.shown < out.max {
+			fmt.Fprintf(os.Stderr, "warning: %d alerts left the alert buffer before they were printed\n", oldest-after-1)
 		}
-		fmt.Printf("state saved to %s (watermark window %d)\n", p.state, lastK)
+		for _, a := range alerts {
+			out.add(a.Alert)
+			after = a.Seq
+		}
+		return wait
 	}
-	if skippedLate > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d receipts arrived for already-closed windows and were dropped\n", skippedLate)
+	var degraded error
+	for running := true; running; {
+		wait := show()
+		if h := ing.Health(); h.Degraded {
+			degraded = fmt.Errorf("monitor -follow: %s: %w", h.Reasons[0], h.Causes[0])
+			break
+		}
+		select {
+		case <-sig:
+			running = false
+		case <-wait:
+		case <-tick.C:
+		}
 	}
-	fmt.Printf("\n%d alerts over %d customers (%d shards, %d shown, %d segments read)\n",
-		total, monitor.Customers(), monitor.Shards(), shown, fol.Segments())
-	return nil
+	err = ing.Close()
+	show()
+	if err != nil {
+		return fmt.Errorf("monitor -follow: %w", err)
+	}
+	if state != "" {
+		fmt.Printf("state saved to %s (watermark window %d)\n", state, ing.Watermark())
+	}
+	m := ing.Metrics()
+	if m.FollowSkipped > 0 {
+		fmt.Fprintf(os.Stderr, "warning: %d receipts arrived for already-closed windows and were dropped\n", m.FollowSkipped)
+	}
+	fmt.Printf("\n%d alerts over %d customers (%d shown, %d polls, %d resyncs)\n",
+		m.AlertsEmitted, m.CustomersRetained, out.shown, m.FollowPolls, m.FollowResyncs)
+	return degraded
 }
 
 // openMonitor returns a fresh sharded monitor, or one restored from the

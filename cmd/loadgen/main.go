@@ -134,11 +134,33 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
+// monitorConfig is the model configuration the in-process daemon and the
+// reference replay share.
+func (o options) monitorConfig(grid stability.Grid) stability.MonitorConfig {
+	return stability.MonitorConfig{
+		Grid:             grid,
+		Model:            stability.Options{Alpha: o.alpha},
+		Beta:             o.beta,
+		TopJ:             o.topJ,
+		WarmupWindows:    o.warmup,
+		RetentionWindows: o.retention,
+	}
+}
+
 // receipt is one wire receipt of the replayed feed.
 type receipt struct {
 	Customer uint64    `json:"customer"`
 	Time     time.Time `json:"time"`
 	Items    []uint32  `json:"items"`
+}
+
+// basket returns the receipt's items as a normalized basket.
+func (rc receipt) basket() stability.Basket {
+	items := make([]stability.ItemID, len(rc.Items))
+	for i, it := range rc.Items {
+		items[i] = stability.ItemID(it)
+	}
+	return stability.NewBasket(items)
 }
 
 // hist is a power-of-two-microsecond latency histogram.
@@ -236,14 +258,7 @@ func run(args []string, out io.Writer) error {
 	var srv *stability.Server
 	if base == "" {
 		s, err := stability.NewServer(stability.ServerConfig{
-			Monitor: stability.MonitorConfig{
-				Grid:             grid,
-				Model:            stability.Options{Alpha: o.alpha},
-				Beta:             o.beta,
-				TopJ:             o.topJ,
-				WarmupWindows:    o.warmup,
-				RetentionWindows: o.retention,
-			},
+			Monitor:        o.monitorConfig(grid),
 			Shards:         o.shards,
 			FollowPath:     followPath,
 			FollowInterval: o.followPoll,
@@ -276,10 +291,11 @@ func run(args []string, out io.Writer) error {
 	} else {
 		var mix *queryMixer
 		if o.queryMix {
-			mix, err = newQueryMixer(base, grid, ds.Store.Customers(), o)
+			ref, err := newShadow(grid, o)
 			if err != nil {
 				return err
 			}
+			mix = &queryMixer{base: base, ref: ref, ids: ds.Store.Customers(), chunk: o.batch, hist: &hist{}}
 		}
 		ingestHist, elapsed, retries, err := replay(base, feed, grid, o, mix)
 		if err != nil {
@@ -426,63 +442,81 @@ func replay(base string, feed []receipt, grid stability.Grid, o options, mix *qu
 	return agg, now().Sub(start), retries.Load(), nil
 }
 
-// queryMixer interleaves batch stability queries with ingestion: at every
-// month barrier it waits for the daemon to drain the month, shadow-replays
-// the same receipts through a local sequential Monitor, then POSTs
-// /v1/stability:batch for every customer and requires each NDJSON row to
-// match the shadow monitor bit for bit. Month barriers are the points
-// where the daemon's state is a deterministic function of the feed (within
-// a month receipts race across connections, but window scoring happens
-// only at close barriers), so the comparison is exact, not statistical.
-type queryMixer struct {
-	base        string
+// shadow is the reference replay the daemon is checked against: a
+// sequential Monitor fed under the daemon's close rule (when a receipt's
+// month passes every month seen, close every window that ended by that
+// month's start), logging each barrier's alerts sorted by (window,
+// customer), the daemon's delivery order. It stays independent of the
+// daemon's pipeline so that it can check it.
+type shadow struct {
 	grid        stability.Grid
 	mon         *stability.Monitor
-	ids         []stability.CustomerID
-	chunk       int
-	posted      uint64
 	maxMonth    int
 	lastClosedK int
-	batches     int
-	scores      int
-	hist        *hist
+	// pending holds alerts Ingest raised since the last barrier; alerts is
+	// the log of every barrier's alerts.
+	pending []stability.Alert
+	alerts  []stability.Alert
 }
 
-func newQueryMixer(base string, grid stability.Grid, ids []stability.CustomerID, o options) (*queryMixer, error) {
-	mon, err := stability.NewMonitor(stability.MonitorConfig{
-		Grid:             grid,
-		Model:            stability.Options{Alpha: o.alpha},
-		Beta:             o.beta,
-		TopJ:             o.topJ,
-		WarmupWindows:    o.warmup,
-		RetentionWindows: o.retention,
-	})
+func newShadow(grid stability.Grid, o options) (*shadow, error) {
+	mon, err := stability.NewMonitor(o.monitorConfig(grid))
 	if err != nil {
 		return nil, err
 	}
-	return &queryMixer{
-		base: base, grid: grid, mon: mon, ids: ids,
-		chunk: o.batch, maxMonth: -1, lastClosedK: -1, hist: &hist{},
-	}, nil
+	return &shadow{grid: grid, mon: mon, maxMonth: -1, lastClosedK: -1}, nil
+}
+
+// feed replays receipts in order, firing the close barriers they cross.
+func (s *shadow) feed(receipts []receipt) error {
+	for _, rc := range receipts {
+		if m := s.grid.MonthIndex(rc.Time); m > s.maxMonth {
+			s.maxMonth = m
+			if closeK := s.grid.Index(s.grid.Origin().AddDate(0, m, 0)) - 1; closeK > s.lastClosedK {
+				batch := append(s.pending, s.mon.CloseThrough(closeK)...)
+				sort.Slice(batch, func(i, j int) bool {
+					if batch[i].GridIndex != batch[j].GridIndex {
+						return batch[i].GridIndex < batch[j].GridIndex
+					}
+					return batch[i].Customer < batch[j].Customer
+				})
+				s.alerts = append(s.alerts, batch...)
+				s.pending = nil
+				s.lastClosedK = closeK
+			}
+		}
+		a, err := s.mon.Ingest(stability.CustomerID(rc.Customer), rc.Time, rc.basket())
+		if err != nil {
+			return err
+		}
+		s.pending = append(s.pending, a...)
+	}
+	return nil
+}
+
+// queryMixer interleaves batch stability queries with ingestion: at every
+// month barrier it waits for the daemon to drain the month, feeds the same
+// receipts to a shadow replay, then POSTs /v1/stability:batch for every
+// customer and requires each NDJSON row to match the shadow monitor bit
+// for bit. Month barriers are the points where the daemon's state is a
+// deterministic function of the feed (within a month receipts race across
+// connections, but window scoring happens only at close barriers), so the
+// comparison is exact, not statistical.
+type queryMixer struct {
+	base    string
+	ref     *shadow
+	ids     []stability.CustomerID
+	chunk   int
+	posted  uint64
+	batches int
+	scores  int
+	hist    *hist
 }
 
 // month absorbs one fully-posted month: shadow-replay, drain, query, compare.
 func (x *queryMixer) month(month []receipt) error {
-	for _, rc := range month {
-		if m := x.grid.MonthIndex(rc.Time); m > x.maxMonth {
-			x.maxMonth = m
-			if closeK := x.grid.Index(x.grid.Origin().AddDate(0, m, 0)) - 1; closeK > x.lastClosedK {
-				x.mon.CloseThrough(closeK)
-				x.lastClosedK = closeK
-			}
-		}
-		items := make([]stability.ItemID, len(rc.Items))
-		for i, it := range rc.Items {
-			items[i] = stability.ItemID(it)
-		}
-		if _, err := x.mon.Ingest(stability.CustomerID(rc.Customer), rc.Time, stability.NewBasket(items)); err != nil {
-			return err
-		}
+	if err := x.ref.feed(month); err != nil {
+		return err
 	}
 	x.posted += uint64(len(month))
 	if err := awaitDrain(x.base, x.posted); err != nil {
@@ -534,7 +568,7 @@ func (x *queryMixer) queryChunk(ids []stability.CustomerID) error {
 		if err := dec.Decode(&row); err != nil {
 			return fmt.Errorf("batch row for customer %d: %w", id, err)
 		}
-		wantV, wantK, wantOK := x.mon.Stability(id)
+		wantV, wantK, wantOK := x.ref.mon.Stability(id)
 		if row.Error != "" {
 			if wantOK {
 				return fmt.Errorf("customer %d: daemon says unscored, shadow replay says %v@%d", id, wantV, wantK)
@@ -566,11 +600,7 @@ func followReplay(base, path string, feed []receipt, o options, out io.Writer) (
 	appendSegment := func(chunk []receipt) error {
 		b := stability.NewStoreBuilder()
 		for _, rc := range chunk {
-			items := make([]stability.ItemID, len(rc.Items))
-			for i, it := range rc.Items {
-				items[i] = stability.ItemID(it)
-			}
-			if err := b.Add(stability.CustomerID(rc.Customer), rc.Time, items, 0); err != nil {
+			if err := b.Add(stability.CustomerID(rc.Customer), rc.Time, rc.basket(), 0); err != nil {
 				return err
 			}
 		}
@@ -787,64 +817,19 @@ type wireAlert struct {
 	Stability float64 `json:"stability"`
 }
 
-// verify replays the feed through a local sequential Monitor under the
-// daemon's watermark rule and cross-checks the daemon's counters, health,
-// alert stream, and every customer's stability answer. The replay is
+// verify replays the feed through a shadow replay under the daemon's
+// watermark rule and cross-checks the daemon's counters, health, alert
+// stream, and every customer's stability answer. The replay is
 // deterministic, so every comparison is exact.
 func verify(base string, feed []receipt, grid stability.Grid, ids []stability.CustomerID, o options, wantIngested uint64, out io.Writer) error {
-	mon, err := stability.NewMonitor(stability.MonitorConfig{
-		Grid:             grid,
-		Model:            stability.Options{Alpha: o.alpha},
-		Beta:             o.beta,
-		TopJ:             o.topJ,
-		WarmupWindows:    o.warmup,
-		RetentionWindows: o.retention,
-	})
+	ref, err := newShadow(grid, o)
 	if err != nil {
 		return err
 	}
-	type key struct {
-		customer uint64
-		window   int
+	if err := ref.feed(feed); err != nil {
+		return err
 	}
-	var want []key
-	wantStab := map[key]float64{}
-	maxMonth := -1
-	lastClosedK := -1
-	var pending []stability.Alert
-	emit := func(batch []stability.Alert) {
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].GridIndex != batch[j].GridIndex {
-				return batch[i].GridIndex < batch[j].GridIndex
-			}
-			return batch[i].Customer < batch[j].Customer
-		})
-		for _, a := range batch {
-			k := key{uint64(a.Customer), a.GridIndex}
-			want = append(want, k)
-			wantStab[k] = a.Stability
-		}
-	}
-	for _, rc := range feed {
-		if m := grid.MonthIndex(rc.Time); m > maxMonth {
-			maxMonth = m
-			if closeK := grid.Index(grid.Origin().AddDate(0, m, 0)) - 1; closeK > lastClosedK {
-				pending = append(pending, mon.CloseThrough(closeK)...)
-				emit(pending)
-				pending = nil
-				lastClosedK = closeK
-			}
-		}
-		items := make([]stability.ItemID, len(rc.Items))
-		for i, it := range rc.Items {
-			items[i] = stability.ItemID(it)
-		}
-		a, err := mon.Ingest(stability.CustomerID(rc.Customer), rc.Time, stability.NewBasket(items))
-		if err != nil {
-			return err
-		}
-		pending = append(pending, a...)
-	}
+	mon := ref.mon
 
 	var m metricsSnapshot
 	if err := getJSON(base, "/metrics", &m); err != nil {
@@ -854,8 +839,8 @@ func verify(base string, feed []receipt, grid stability.Grid, ids []stability.Cu
 		return fmt.Errorf("metrics: ingested=%d shed=%d rejected=%d stale=%d, want %d/0/0/0",
 			m.ReceiptsIngested, m.ReceiptsShed, m.ReceiptsRejected, m.ReceiptsStale, wantIngested)
 	}
-	if m.Watermark != lastClosedK+1 {
-		return fmt.Errorf("watermark %d, want %d", m.Watermark, lastClosedK+1)
+	if m.Watermark != ref.lastClosedK+1 {
+		return fmt.Errorf("watermark %d, want %d", m.Watermark, ref.lastClosedK+1)
 	}
 	// With a retention horizon the daemon evicts idle customers at close
 	// barriers, deterministically — the sequential replay must agree on
@@ -883,14 +868,15 @@ func verify(base string, feed []receipt, grid stability.Grid, ids []stability.Cu
 	if err != nil {
 		return err
 	}
+	want := ref.alerts
 	if len(got) != len(want) {
 		return fmt.Errorf("daemon delivered %d alerts, sequential replay raised %d", len(got), len(want))
 	}
 	for i, a := range got {
-		k := key{a.Customer, a.Window}
-		if a.Seq != uint64(i)+1 || k != want[i] || a.Stability != wantStab[k] {
-			return fmt.Errorf("alert %d: got seq=%d customer=%d window=%d stability=%v, want %+v stability=%v",
-				i, a.Seq, a.Customer, a.Window, a.Stability, want[i], wantStab[want[i]])
+		w := want[i]
+		if a.Seq != uint64(i)+1 || a.Customer != uint64(w.Customer) || a.Window != w.GridIndex || a.Stability != w.Stability {
+			return fmt.Errorf("alert %d: got seq=%d customer=%d window=%d stability=%v, want customer=%d window=%d stability=%v",
+				i, a.Seq, a.Customer, a.Window, a.Stability, w.Customer, w.GridIndex, w.Stability)
 		}
 	}
 	fmt.Fprintf(out, "alert stream: %d alerts, exact match\n", len(got))

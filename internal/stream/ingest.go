@@ -272,6 +272,10 @@ type IngestorMetrics struct {
 	FollowPolls   uint64 `json:"follow_polls"`
 	FollowErrors  uint64 `json:"follow_errors"`
 	FollowResyncs uint64 `json:"follow_resyncs"`
+	// FollowSkipped counts tailed receipts dropped because they precede the
+	// grid origin or fall in a window already closed when their poll began
+	// (an out-of-contract append).
+	FollowSkipped uint64 `json:"follow_skipped"`
 	// CustomersEvicted counts customers dropped at the retention horizon
 	// (0 forever when no horizon is configured).
 	CustomersEvicted uint64 `json:"customers_evicted"`
@@ -352,6 +356,7 @@ type Ingestor struct {
 	followPolls  atomic.Uint64
 	followErrs   atomic.Uint64
 	followResync atomic.Uint64
+	followSkips  atomic.Uint64
 	watermark    atomic.Int64
 	closed       atomic.Bool
 
@@ -783,6 +788,7 @@ func (i *Ingestor) Metrics() IngestorMetrics {
 		FollowPolls:        i.followPolls.Load(),
 		FollowErrors:       i.followErrs.Load(),
 		FollowResyncs:      i.followResync.Load(),
+		FollowSkipped:      i.followSkips.Load(),
 		CustomersEvicted:   evicted,
 		CustomersRetained:  retained,
 		Degraded:           i.Health().Degraded,

@@ -63,6 +63,9 @@ type task struct {
 	retries  atomic.Uint64
 	failures atomic.Uint64
 	streak   atomic.Int64
+	// cause is the last failed attempt's error, read by Health() off the
+	// drainer.
+	cause atomic.Pointer[error]
 }
 
 // start fills the row and, for a positive period, starts its ticker.
@@ -99,16 +102,18 @@ func (t *task) cycle() {
 		t.retries.Add(1)
 		err = t.attempt()
 	}
-	t.record(err == nil)
+	t.record(err)
 }
 
-// record books one cycle's outcome in the streak, counters and backoff.
-func (t *task) record(ok bool) {
-	if ok {
+// record books one cycle's outcome in the streak, counters, backoff and
+// cause.
+func (t *task) record(err error) {
+	if err == nil {
 		t.streak.Store(0)
 		t.skip = 0
 		return
 	}
+	t.cause.Store(&err)
 	t.failures.Add(1)
 	t.skip = maxBackoffTicks
 	if n := t.streak.Add(1); n <= 5 {
@@ -128,6 +133,9 @@ type IngestorHealth struct {
 	// Reasons lists one entry per failing task (saver, compactor,
 	// follower); empty when healthy.
 	Reasons []string `json:"degraded_reasons,omitempty"`
+	// Causes holds each failing task's last error, aligned with Reasons.
+	// It stays off the wire: an error can name a file path.
+	Causes []error `json:"-"`
 }
 
 // Health reports the maintenance tasks' readiness state.
@@ -137,6 +145,7 @@ func (i *Ingestor) Health() IngestorHealth {
 		t := &i.tasks[k]
 		if n := t.streak.Load(); n >= degradedThreshold {
 			h.Reasons = append(h.Reasons, fmt.Sprintf(t.reason, n))
+			h.Causes = append(h.Causes, *t.cause.Load())
 		}
 	}
 	h.Degraded = len(h.Reasons) > 0
@@ -178,7 +187,7 @@ func (i *Ingestor) Compact() (store.CompactStats, error) {
 	}
 	defer i.Resume()
 	stats, err := i.compactJournal()
-	i.tasks[taskCompact].record(err == nil)
+	i.tasks[taskCompact].record(err)
 	return stats, err
 }
 
@@ -348,28 +357,30 @@ func (i *Ingestor) followPoll() error {
 
 // processFollowBatch feeds one polled store delta to the per-receipt step:
 // receipts before the grid origin or in windows already closed when the
-// poll began are skipped (exactly the `monitor -follow` staleness rule), the
-// rest are visited in time order by store.EachByTime, and the step's
-// month-advance barriers implement the conservative close rule. Equal
-// timestamps break ties by customer id, then history position — the same
-// total order a sequential replay of the file uses, making poll batching
-// invisible in the output. Like a queued batch, the poll counts as one
-// batch once it delivered a fresh receipt, and an ingest error ends it.
+// poll began are skipped and counted in FollowSkipped, the rest are
+// visited in time order by store.EachByTime, and the step's month-advance
+// barriers implement the conservative close rule. Equal timestamps break
+// ties by customer id, then history position — the same total order a
+// sequential replay of the file uses, making poll batching invisible in
+// the output. Like a queued batch, the poll counts as one batch once it
+// delivered a fresh receipt, and an ingest error ends it.
 func (i *Ingestor) processFollowBatch(s *store.Store) {
 	minK := i.lastClosedK + 1
 	fresh, ok := false, true
+	var skipped uint64
 	store.EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-		if r.Time.Before(i.grid.origin) {
-			return true
-		}
 		m := i.monthIndex(r.Time)
-		if i.windowOfMonth(m) < minK {
+		if r.Time.Before(i.grid.origin) || i.windowOfMonth(m) < minK {
+			skipped++
 			return true
 		}
 		fresh = true
 		ok = i.step(ReceiptEvent{Customer: id, Time: r.Time, Items: r.Items}, m)
 		return ok
 	})
+	if skipped > 0 {
+		i.followSkips.Add(skipped)
+	}
 	if fresh && ok {
 		i.batches.Add(1)
 	}

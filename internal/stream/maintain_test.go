@@ -119,6 +119,51 @@ func TestFollowModeMatchesSequentialReplay(t *testing.T) {
 	}
 }
 
+// TestFollowModeCountsSkippedReceipts appends a segment holding one receipt
+// before the grid origin and one for a window closed long ago: the follower
+// drops both, counts them in FollowSkipped, and its alerts and SMN1 bytes
+// stay those of the feed alone.
+func TestFollowModeCountsSkippedReceipts(t *testing.T) {
+	feed := randomFeed(t, 53, 12, 500)
+	cfg := ingestorConfig(t, 1)
+	wantAlerts, wantSnap := replayIngestReference(t, cfg.Monitor, feed)
+	dir := t.TempDir()
+	stb := filepath.Join(dir, "feed.stb")
+	state := filepath.Join(dir, "mon.smn")
+	appendFeedSegment(t, stb, feed)
+	ing, err := NewIngestor(followConfig(t, 2, stb, state))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "follower to consume the feed", func() bool {
+		return ing.Metrics().ReceiptsIngested == uint64(len(feed))
+	})
+	origin := cfg.Monitor.Grid.Origin()
+	appendFeedSegment(t, stb, []feedEvent{
+		{id: 1, t: origin.Add(-time.Hour), items: retail.NewBasket([]retail.ItemID{1})},
+		{id: 2, t: origin.Add(time.Hour), items: retail.NewBasket([]retail.ItemID{2})},
+	})
+	waitFor(t, "follower to skip the late segment", func() bool {
+		return ing.Metrics().FollowSkipped == 2
+	})
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := ing.Metrics(); m.ReceiptsIngested != uint64(len(feed)) || m.FollowSkipped != 2 {
+		t.Fatalf("ingested=%d skipped=%d, want %d and 2", m.ReceiptsIngested, m.FollowSkipped, len(feed))
+	}
+	if got := drainLog(t, ing); !alertsEqual(wantAlerts, got) {
+		t.Errorf("alert log differs from the feed's replay (%d vs %d alerts)", len(got), len(wantAlerts))
+	}
+	snap, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantSnap, snap) {
+		t.Error("SMN1 state differs from the feed's replay")
+	}
+}
+
 // TestFollowModeCatchUpOverlappingSegments starts a follower on a chain
 // whose segments all span the same months, so the first poll merges
 // receipts from every segment into each customer's history. The alert log
@@ -793,6 +838,9 @@ func TestSaveCycleBackoffAndDegradedFault(t *testing.T) {
 			want := fmt.Sprintf(tc.reason, n)
 			if h := ing.Health(); n < degradedThreshold || len(h.Reasons) != 1 || h.Reasons[0] != want {
 				t.Fatalf("after %d failed cycles: health %+v, want the one reason %q", n, h, want)
+			}
+			if h := ing.Health(); len(h.Causes) != 1 || !errors.Is(h.Causes[0], faultfs.ErrInjected) {
+				t.Fatalf("degraded row's causes %v, want the injected fault", h.Causes)
 			}
 			ing.Resume()
 			in.Reset()
