@@ -180,14 +180,15 @@ func genFollowData(t *testing.T) (data string, grow func() error) {
 	return data, func() error { return cmdGen(append([]string{"-extend", "4"}, common...)) }
 }
 
-// followSession runs monitor -follow on data with followFlags and -state
-// until SIGTERM arrives after d, and returns what it printed and returned.
-func followSession(t *testing.T, data, state string, d time.Duration) (out string, err error) {
+// followSession runs monitor -follow on data with followFlags, -state and
+// -poll poll until SIGTERM arrives after d, and returns what it printed and
+// returned.
+func followSession(t *testing.T, data, state, poll string, d time.Duration) (out string, err error) {
 	t.Helper()
 	out = captureStdout(t, func() error {
 		stop := time.AfterFunc(d, func() { _ = syscall.Kill(os.Getpid(), syscall.SIGTERM) })
 		defer stop.Stop()
-		err = cmdMonitor(append([]string{"-data", data, "-follow", "-poll", "5ms", "-state", state}, followFlags...))
+		err = cmdMonitor(append([]string{"-data", data, "-follow", "-poll", poll, "-state", state}, followFlags...))
 		return nil
 	})
 	return out, err
@@ -244,7 +245,7 @@ func TestCmdMonitorFollowResyncAfterCompact(t *testing.T) {
 	})
 	defer extend.Stop()
 	state := filepath.Join(t.TempDir(), "follow.smn")
-	out, err := followSession(t, data, state, 1200*time.Millisecond)
+	out, err := followSession(t, data, state, "5ms", 1200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +268,47 @@ func TestCmdMonitorFollowResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		out, err := followSession(t, data, state, 500*time.Millisecond)
+		out, err := followSession(t, data, state, "5ms", 500*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, alertLines(out)...)
 	}
 	matchOneShot(t, data, lines, state)
+}
+
+// TestCmdMonitorFollowResumeStoppedAtOnce stops a resumed follow session
+// right after it starts, long before its first -poll period ends: -state
+// keeps its bytes and the session prints no alert, so a later session
+// still adds up to a one-shot replay instead of printing every alert again.
+func TestCmdMonitorFollowResumeStoppedAtOnce(t *testing.T) {
+	data, grow := genFollowData(t)
+	state := filepath.Join(t.TempDir(), "follow.smn")
+	out, err := followSession(t, data, state, "5ms", 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := alertLines(out)
+	saved, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = followSession(t, data, state, "1h", 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got := alertLines(out); len(got) != 0 {
+		t.Fatalf("stopped resume printed %d alerts again:\n%s", len(got), out)
+	}
+	if got, err := os.ReadFile(state); err != nil || !bytes.Equal(got, saved) {
+		t.Fatalf("stopped resume changed -state (read error %v)", err)
+	}
+	if err := grow(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = followSession(t, data, state, "5ms", 500*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	matchOneShot(t, data, append(lines, alertLines(out)...), state)
 }
 
 // TestCmdMonitorFollowCorruptDegraded tails a valid chain followed by
@@ -295,7 +330,7 @@ func TestCmdMonitorFollowCorruptDegraded(t *testing.T) {
 	}
 	state := filepath.Join(t.TempDir(), "follow.smn")
 	// The SIGTERM only bounds a session that never degrades.
-	out, err := followSession(t, data, state, 10*time.Second)
+	out, err := followSession(t, data, state, "5ms", 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "follower stalled") || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("corrupt chain: err = %v, want the degraded reason and the bad magic cause", err)
 	}

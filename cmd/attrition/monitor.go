@@ -46,7 +46,7 @@ func cmdMonitor(args []string) error {
 		warmup    = fs.Int("warmup", 4, "windows of history before alerts may fire")
 		shards    = fs.Int("shards", 0, "ingestion shards (customer-hash partitions); 0 = GOMAXPROCS")
 		state     = fs.String("state", "", "monitor snapshot path: restore from it when present, feed only new windows, persist back (incremental replay of a growing dataset)")
-		maxShow   = fs.Int("max-show", 50, "maximum alerts to print (summary always shown)")
+		maxShow   = fs.Int("max-show", 50, "maximum alerts to print (summary always shown); -follow prints from the last 65536 published alerts, so a catch-up raising more may skip lines (a warning counts them)")
 		follow    = fs.Bool("follow", false, "tail -data (a binary snapshot segment chain) for appended segments instead of exiting at end of file, resyncing when it is compacted; SIGTERM exits cleanly, persisting -state")
 		poll      = fs.Duration("poll", 2*time.Second, "poll interval in -follow mode")
 		retention = fs.Int("retention", 0, "retention horizon in windows: customers silent that long are scored through the horizon and evicted; 0 keeps everyone forever")
@@ -183,7 +183,8 @@ func (p *alertPrinter) add(alerts ...stability.Alert) {
 // for windows already closed, closes only windows that ended at or before
 // the start of the newest receipt's month (the -state rule), resyncs when
 // the file is compacted underneath it, and restores -state by replaying
-// the file from byte zero with already-published alerts suppressed. Alerts
+// the file from byte zero with already-published alerts suppressed; it
+// saves -state only once that replay has caught up with it. Alerts
 // printed across follow sessions are therefore exactly what incremental
 // -state replays of the same file print.
 //
@@ -264,10 +265,14 @@ func runFollow(cfg stability.MonitorConfig, data, state string, span, shards int
 	if err != nil {
 		return fmt.Errorf("monitor -follow: %w", err)
 	}
-	if state != "" {
-		fmt.Printf("state saved to %s (watermark window %d)\n", state, ing.Watermark())
-	}
 	m := ing.Metrics()
+	switch {
+	case state == "":
+	case m.Saves > 0:
+		fmt.Printf("state saved to %s (watermark window %d)\n", state, m.Watermark)
+	default:
+		fmt.Printf("state %s left as it was: the replay had not caught up with it\n", state)
+	}
 	if m.FollowSkipped > 0 {
 		fmt.Fprintf(os.Stderr, "warning: %d receipts arrived for already-closed windows and were dropped\n", m.FollowSkipped)
 	}

@@ -147,12 +147,15 @@ type IngestorConfig struct {
 	// FollowPath, when non-empty, switches the ingestor to file-driven
 	// ingestion: instead of accepting Enqueue batches (Enqueue returns
 	// ErrFollowing), the drainer tails the STB1 segment chain at FollowPath
-	// through a store.Follower, polling every FollowInterval. Torn tails
-	// are retried; a shrunken file (compacted or replaced underneath the
-	// follower) triggers an automatic resync: the monitor is rebuilt from
-	// the whole file and alerts for windows already published are
-	// suppressed, so the delivered alert sequence and SMN1 state stay
-	// byte-identical to a sequential Monitor replay of the file.
+	// through a store.Follower, polling at start and every FollowInterval
+	// after. Torn tails are retried; a shrunken file (compacted or
+	// replaced underneath the follower) triggers an automatic resync: the
+	// monitor is rebuilt from the whole file and alerts for windows
+	// already published are suppressed, so the delivered alert sequence
+	// and SMN1 state stay byte-identical to a sequential Monitor replay of
+	// the file. A restored StatePath is resumed the same way, by replaying
+	// the file from byte zero; until the replay has closed every window
+	// the restored state had, saves leave the state file as it is.
 	FollowPath string
 	// FollowInterval is the follow-mode poll period; <= 0 means 500ms.
 	// Ignored when FollowPath is "". Poll timing never affects which
@@ -506,6 +509,12 @@ func (i *Ingestor) drain(flushC <-chan time.Time) {
 	defer close(i.drainDone)
 	save, compact, follow := &i.tasks[taskSave], &i.tasks[taskCompact], &i.tasks[taskFollow]
 	saveC, compactC, followC := save.ticks(), compact.ticks(), follow.ticks()
+	if followC != nil {
+		// Follow mode polls once before anything else: catch-up starts
+		// without waiting a FollowInterval, and a restart's replay runs
+		// before any save or Close can persist its still-empty monitor.
+		follow.cycle()
+	}
 	for {
 		select {
 		case resume := <-i.pauseReq:
@@ -813,8 +822,14 @@ func (i *Ingestor) saveAttempt() error {
 
 // saveState writes the state file and counts the attempt once it has
 // finished, so a reader that sees Saves above SaveErrors finds a state
-// file on disk.
+// file on disk. A follow replay that has not yet closed the windows an
+// earlier monitor published (its poll failed, or the file is missing) is
+// not written: its snapshot would move the state file's watermark back,
+// and the next restart would publish those windows' alerts again.
 func (i *Ingestor) saveState() error {
+	if i.lastClosedK < i.suppressK {
+		return nil
+	}
 	err := faultfs.WriteAtomic(i.cfg.FS, i.cfg.StatePath, i.mon.WriteSnapshot)
 	if err != nil {
 		i.saveErrs.Add(1)

@@ -428,6 +428,63 @@ func TestFollowModeRestartMidTail(t *testing.T) {
 	}
 }
 
+// TestFollowModeRestartKeepsStateUntilCaughtUp restarts a follow-mode
+// daemon with state while its file is missing: the replay closes nothing,
+// so neither the saver nor Close may write its empty monitor over the
+// state. A further restart with the file back catches up on its first
+// poll alone, publishes no alert the first run already delivered, and
+// leaves the same state bytes.
+func TestFollowModeRestartKeepsStateUntilCaughtUp(t *testing.T) {
+	feed := randomFeed(t, 54, 10, 400)
+	_, wantSnap := replayIngestReference(t, ingestorConfig(t, 1).Monitor, feed)
+	dir := t.TempDir()
+	stb := filepath.Join(dir, "feed.stb")
+	state := filepath.Join(dir, "mon.smn")
+	appendFeedSegment(t, stb, feed)
+	checkState := func(when string) {
+		t.Helper()
+		if snap, err := os.ReadFile(state); err != nil || !bytes.Equal(wantSnap, snap) {
+			t.Fatalf("%s: state differs from sequential replay (read error %v)", when, err)
+		}
+	}
+	run := func(cfg IngestorConfig, until func(IngestorMetrics) bool) (*Ingestor, []Alert) {
+		t.Helper()
+		ing, err := NewIngestor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "follow cycles", func() bool { return until(ing.Metrics()) })
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return ing, drainLog(t, ing)
+	}
+	caughtUp := func(m IngestorMetrics) bool { return m.ReceiptsIngested == uint64(len(feed)) }
+
+	first, alerts := run(followConfig(t, 2, stb, state), caughtUp)
+	if len(alerts) == 0 {
+		t.Fatal("first run published no alerts")
+	}
+	checkState("first run")
+
+	missing := followConfig(t, 2, filepath.Join(dir, "moved.stb"), state)
+	missing.SaveInterval = time.Millisecond
+	ing, alerts := run(missing, func(m IngestorMetrics) bool { return m.FollowPolls >= 5 })
+	if m := ing.Metrics(); m.Saves != 0 || len(alerts) != 0 || m.Watermark != first.Watermark() {
+		t.Fatalf("restart without its file: saves=%d alerts=%d watermark=%d, want 0, 0 and %d",
+			m.Saves, len(alerts), m.Watermark, first.Watermark())
+	}
+	checkState("restart without its file")
+
+	// An hour-long poll period: only the poll at start can catch up.
+	back := followConfig(t, 2, stb, state)
+	back.FollowInterval = time.Hour
+	if _, alerts = run(back, caughtUp); len(alerts) != 0 {
+		t.Fatalf("restart with its file back published %d alerts again", len(alerts))
+	}
+	checkState("restart with its file back")
+}
+
 // journalExpected renders the feed as the journal's canonical compacted
 // bytes: every accepted receipt, zero spend, merged and sorted.
 func journalExpected(t *testing.T, feed []feedEvent) []byte {
