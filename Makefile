@@ -7,11 +7,14 @@ GO ?= go
 # Benchtime for bench-json: 1s for a real baseline, overridden to 1x by
 # bench-smoke so CI gets a structural artifact without the full cost.
 BENCHTIME ?= 1s
-# Output of bench-json. bench-smoke redirects it to BENCH_SMOKE.json
-# (untracked) so a smoke run can never clobber the checked-in 1s results
-# with single-iteration noise. BENCH_PR3/PR4/PR5/PR7/PR10/PR15/PR16/
-# PR17/PR18.json are kept for the perf trajectory.
-BENCHJSON_OUT ?= BENCH_PR20.json
+# Output of bench-json. The default BENCH_LOCAL.json is untracked, so a
+# plain run never rewrites a checked-in result; a change that records a
+# baseline names its file (BENCHJSON_OUT=BENCH_PRn.json). bench-smoke
+# redirects it to BENCH_SMOKE.json (untracked) so a smoke run can never
+# clobber the checked-in 1s results with single-iteration noise.
+# BENCH_PR3/PR4/PR5/PR7/PR10/PR15/PR16/PR17/PR18/PR20.json are kept for the
+# perf trajectory.
+BENCHJSON_OUT ?= BENCH_LOCAL.json
 # Baseline bench-diff compares against, and the regression thresholds.
 # Smoke runs are single-iteration, so the defaults are deliberately loose:
 # the diff is a tripwire for order-of-magnitude regressions and alloc-count
@@ -26,7 +29,7 @@ BENCH_BASELINE ?= BENCH_PR17.json
 BENCH_DIFF_THRESHOLD ?= 1.0
 BENCH_DIFF_ALLOCS_THRESHOLD ?= 0.25
 
-# Coverage gate for `make cover`. The module sits at ~83% total today;
+# Coverage gate for `make cover`. The module sits at ~85% total today;
 # the floor trips if a PR drops it below 80%.
 COVER_PROFILE ?= cover.out
 COVER_FLOOR ?= 80
@@ -41,9 +44,9 @@ FUZZTIME ?= 10s
 PROFILE_BENCH ?= BenchmarkTrackerObserve
 PROFILE_TIME ?= 2s
 
-.PHONY: verify build test lint detlint detlint-json race cover fuzz bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
+.PHONY: verify build test bench-check lint detlint detlint-json race cover fuzz bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
 
-ci: verify lint race cover fuzz bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
+ci: verify bench-check lint race cover fuzz bench-smoke profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
 
 verify: build test ## tier-1: go build ./... && go test ./...
 
@@ -52,6 +55,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# _attritionbench is its own module, so `go build ./...` here skips it, yet
+# it compiles against this module's exported API: vet and test it so a
+# change that breaks the benchmark fails here, not when the benchmark runs.
+bench-check: ## vet + test the _attritionbench module against this checkout
+	cd _attritionbench && $(GO) vet ./... && $(GO) test ./...
 
 # internal/lint/testdata holds detlint fixture packages that are
 # intentionally non-idiomatic (one is deliberately unformatted); the go
@@ -133,8 +142,8 @@ fault-log: ## verbose fault-injection + crash-recovery test log -> faultlog.txt 
 
 clean: ## drop generated/untracked artifacts (coverage, smoke benches, lint + fault logs) and the Go build cache for this module
 	$(GO) clean ./...
-	rm -f $(COVER_PROFILE) BENCH_SMOKE.json bench-raw.out bench-diff.txt detlint.json faultlog.txt
-	rm -f BENCH_PR*.json.tmp BENCH_SMOKE.json.tmp
+	rm -f $(COVER_PROFILE) BENCH_SMOKE.json BENCH_LOCAL.json bench-raw.out bench-diff.txt detlint.json faultlog.txt
+	rm -f BENCH_PR*.json.tmp BENCH_SMOKE.json.tmp BENCH_LOCAL.json.tmp
 	rm -f cpu.pprof heap.pprof profile-bench.test
 
 bench-diff: ## diff smoke results (regenerated when absent) against $(BENCH_BASELINE); writes bench-diff.txt, exits non-zero on regression

@@ -145,8 +145,8 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/customers/{id}/stability", "stability", s.handleStability)
 	s.route("POST /v1/stability:batch", "stability_batch", s.handleStabilityBatch)
 	s.route("GET /v1/alerts", "alerts", s.handleAlerts)
-	s.route("GET /healthz", "healthz", s.handleHealthz)
-	s.route("GET /readyz", "readyz", s.handleReadyz)
+	s.route("GET /healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) int { return s.health(w, false) })
+	s.route("GET /readyz", "readyz", func(w http.ResponseWriter, _ *http.Request) int { return s.health(w, true) })
 	s.route("GET /metrics", "metrics", s.handleMetrics)
 	return s, nil
 }
@@ -439,12 +439,16 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, after uint64)
 	}
 }
 
-// handleHealthz implements GET /healthz — the liveness probe. It answers
-// 200 "ok" as long as the process serves requests, even when a
-// maintenance loop is degraded (restarting a live daemon loses queued
-// receipts and helps nothing); the degraded detail rides along for
-// operators. Only shutdown flips it to 503 "closing".
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
+// health answers the two probes with one body. GET /healthz (readiness
+// false) is the liveness probe: 200 "ok" as long as the process serves
+// requests, even when a maintenance loop is degraded (restarting a live
+// daemon loses queued receipts and helps nothing); the degraded detail
+// rides along for operators. GET /readyz (readiness true) answers 200
+// "ready", or 503 "degraded" while maintenance (saver failing, compactor
+// backing off, follower stalled) is degraded: the daemon should stop
+// receiving new traffic but keep running. Both answer 503 "closing" during
+// shutdown.
+func (s *Server) health(w http.ResponseWriter, readiness bool) int {
 	health := s.ing.Health()
 	resp := HealthResponse{
 		Status:    "ok",
@@ -454,37 +458,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		Reasons:   health.Reasons,
 	}
 	status := http.StatusOK
-	select {
-	case <-s.closing:
-		resp.Status = "closing"
-		status = http.StatusServiceUnavailable
-	default:
-	}
-	return writeJSON(w, status, resp)
-}
-
-// handleReadyz implements GET /readyz — the readiness probe. Degraded
-// maintenance (saver failing, compactor backing off, follower stalled)
-// means the daemon should stop receiving new traffic but keep running, so
-// degraded and closing both answer 503 here while /healthz stays 200.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
-	health := s.ing.Health()
-	resp := HealthResponse{
-		Status:    "ready",
-		Customers: s.ing.Customers(),
-		Watermark: s.ing.Watermark(),
-		Degraded:  health.Degraded,
-		Reasons:   health.Reasons,
-	}
-	status := http.StatusOK
-	if health.Degraded {
-		resp.Status = "degraded"
-		status = http.StatusServiceUnavailable
+	if readiness {
+		resp.Status = "ready"
+		if health.Degraded {
+			resp.Status, status = "degraded", http.StatusServiceUnavailable
+		}
 	}
 	select {
 	case <-s.closing:
-		resp.Status = "closing"
-		status = http.StatusServiceUnavailable
+		resp.Status, status = "closing", http.StatusServiceUnavailable
 	default:
 	}
 	return writeJSON(w, status, resp)

@@ -859,6 +859,9 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	if code := getJSON(t, ts.URL, "/healthz", &h); code != http.StatusServiceUnavailable || h.Status != "closing" {
 		t.Errorf("closing healthz: status %d body %+v", code, h)
 	}
+	if code := getJSON(t, ts.URL, "/readyz", &h); code != http.StatusServiceUnavailable || h.Status != "closing" {
+		t.Errorf("closing readyz: status %d body %+v", code, h)
+	}
 	if code := postReceipts(t, ts.URL, overflowReceipts(t, 1), nil); code != http.StatusServiceUnavailable {
 		t.Errorf("closing ingest: status %d, want 503", code)
 	}

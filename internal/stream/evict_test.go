@@ -127,6 +127,14 @@ func TestEvictedMatchesFullInsideHorizon(t *testing.T) {
 	if got := evictMon.Evicted(); got != uint64(len(last)) {
 		t.Fatalf("cumulative evictions %d, want %d", got, len(last))
 	}
+	// Without a horizon the same barrier evicts nobody.
+	fullMon.CloseThrough(maxWindow + horizon + 2)
+	if got := fullMon.Evicted(); got != 0 {
+		t.Fatalf("full-retention monitor evicted %d customers", got)
+	}
+	if got := fullMon.Customers(); got != len(last) {
+		t.Fatalf("full-retention monitor tracks %d customers, want %d", got, len(last))
+	}
 
 	// The sharded engine must reproduce the evicting sequential monitor
 	// batch-for-batch and snapshot-byte-for-byte at every shard count.
@@ -202,53 +210,8 @@ func TestEvictionResurrectionDeterministic(t *testing.T) {
 	}
 }
 
-// TestMonitorEvictIdle exercises the explicit sweep: nothing happens while
-// the horizon is open, the customer's remaining silent windows are scored
-// when it closes, and a post-eviction receipt starts a fresh relationship.
-func TestMonitorEvictIdle(t *testing.T) {
-	g := testGrid(t)
-	cfg := testConfig(t, 0.7)
-	cfg.RetentionWindows = 2
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Ingest(1, at(g, 0, 3), retail.NewBasket([]retail.ItemID{1, 2})); err != nil {
-		t.Fatal(err)
-	}
-	if alerts, n := m.EvictIdle(1); n != 0 || len(alerts) != 0 {
-		t.Fatalf("EvictIdle(1) evicted %d customers (%d alerts); horizon still open", n, len(alerts))
-	}
-	if _, n := m.EvictIdle(2); n != 1 {
-		t.Fatalf("EvictIdle(2) evicted %d customers, want 1", n)
-	}
-	if m.Customers() != 0 || m.Evicted() != 1 {
-		t.Fatalf("after sweep: customers=%d evicted=%d, want 0/1", m.Customers(), m.Evicted())
-	}
-	// Scored windows 0..2 were closed by the sweep; a receipt far later is a
-	// brand-new relationship, not a stale-window error.
-	if _, err := m.Ingest(1, at(g, 9, 1), retail.NewBasket([]retail.ItemID{1})); err != nil {
-		t.Fatalf("post-eviction receipt: %v", err)
-	}
-	if m.Customers() != 1 {
-		t.Fatalf("customers after return: %d, want 1", m.Customers())
-	}
-
-	// Without a horizon the sweep is a no-op.
-	m2, err := New(testConfig(t, 0.7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Ingest(1, at(g, 0, 3), retail.NewBasket([]retail.ItemID{1})); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := m2.EvictIdle(1 << 20); n != 0 {
-		t.Fatalf("unbounded monitor evicted %d customers", n)
-	}
-}
-
 // TestIngestorRestoreEvictsPastHorizon restores a full-retention snapshot
-// under a newly configured horizon: the construction-time sweep must
+// under a newly configured horizon: the construction-time barrier must
 // reclaim every customer already past it — deterministically, computable
 // from the snapshot alone — and nothing may change the population after.
 func TestIngestorRestoreEvictsPastHorizon(t *testing.T) {
@@ -266,7 +229,7 @@ func TestIngestorRestoreEvictsPastHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Expected outcome of the restore sweep, from a sequential restore.
+	// Expected outcome of the restore barrier, from a sequential restore.
 	snap, err := os.ReadFile(state)
 	if err != nil {
 		t.Fatal(err)
@@ -281,12 +244,13 @@ func TestIngestorRestoreEvictsPastHorizon(t *testing.T) {
 	if !ok {
 		t.Fatal("empty restored monitor")
 	}
-	sweepAlerts, evicted := seq.EvictIdle(k - 1)
+	barrierAlerts := seq.CloseThrough(k - 1)
+	evicted := seq.Evicted()
 	if evicted == 0 || seq.Customers() == 0 {
-		t.Fatalf("restore sweep evicts %d and retains %d; feed exercises only one side", evicted, seq.Customers())
+		t.Fatalf("restore barrier evicts %d and retains %d; feed exercises only one side", evicted, seq.Customers())
 	}
-	if len(sweepAlerts) != 0 {
-		t.Fatalf("restore sweep raised %d alerts; expired customers were already fully scored", len(sweepAlerts))
+	if len(barrierAlerts) != 0 {
+		t.Fatalf("restore barrier raised %d alerts; expired customers were already fully scored", len(barrierAlerts))
 	}
 
 	cfg2 := ingestorConfig(t, 4)
@@ -299,10 +263,10 @@ func TestIngestorRestoreEvictsPastHorizon(t *testing.T) {
 	defer ing2.Close()
 	m := ing2.Metrics()
 	if m.CustomersRetained != seq.Customers() || m.CustomersEvicted != seq.Evicted() {
-		t.Fatalf("after restore sweep: retained=%d evicted=%d, want %d/%d",
+		t.Fatalf("after restore barrier: retained=%d evicted=%d, want %d/%d",
 			m.CustomersRetained, m.CustomersEvicted, seq.Customers(), seq.Evicted())
 	}
-	// Let the drainer run a while: the restore sweep left nothing to evict.
+	// Let the drainer run a while: the restore barrier left nothing to evict.
 	time.Sleep(10 * time.Millisecond)
 	m2 := ing2.Metrics()
 	if m2.CustomersRetained != m.CustomersRetained || m2.CustomersEvicted != m.CustomersEvicted {

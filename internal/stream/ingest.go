@@ -300,8 +300,7 @@ type IngestorMetrics struct {
 // receipts within one batch are ingested in slice order. Stop producers
 // before Close, exactly as for ShardedMonitor.
 type Ingestor struct {
-	cfg  IngestorConfig
-	grid gridInfo
+	cfg IngestorConfig
 
 	// monMu guards mon and evictedBase against the follower-resync swap
 	// and against Close: the drainer replaces a resyncing monitor, and
@@ -374,12 +373,6 @@ type Ingestor struct {
 	changed chan struct{}
 }
 
-// gridInfo caches the grid lookups the drainer needs per receipt.
-type gridInfo struct {
-	origin time.Time
-	span   int
-}
-
 // NewIngestor validates cfg, restores SMN1 state from cfg.StatePath when
 // the file exists, and starts the drainer (and any configured tickers and
 // maintenance tasks).
@@ -395,7 +388,6 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 	i := &Ingestor{
 		cfg:          cfg,
 		mon:          mon,
-		grid:         gridInfo{origin: cfg.Monitor.Grid.Origin(), span: cfg.Monitor.Grid.Span().Months},
 		queue:        make(chan []ReceiptEvent, cfg.QueueBatches),
 		stop:         make(chan struct{}),
 		pauseReq:     make(chan chan struct{}),
@@ -415,7 +407,12 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 			i.lastClosedK = k - 1
 		}
 		if cfg.FollowPath == "" {
-			i.evictSweep()
+			// The restore barrier: the snapshot may have been taken under a
+			// longer (or no) horizon, and closing through the restored
+			// watermark evicts its expired customers without waiting for
+			// feed traffic. Every open window lies past lastClosedK, so the
+			// barrier scores none of them.
+			i.closeBarrier(i.lastClosedK)
 		} else if err := i.replayFollowed(); err != nil {
 			mon.Close()
 			return nil, err
@@ -548,7 +545,7 @@ func (i *Ingestor) drain(flushC <-chan time.Time) {
 // ingest error ends the batch uncounted.
 func (i *Ingestor) process(batch []ReceiptEvent) {
 	for _, ev := range batch {
-		if !i.step(ev, i.monthIndex(ev.Time)) {
+		if !i.step(ev, i.cfg.Monitor.Grid.MonthIndex(ev.Time)) {
 			return
 		}
 	}
@@ -566,7 +563,7 @@ func (i *Ingestor) step(ev ReceiptEvent, m int) bool {
 		// closeK is the last window ending at or before the start of
 		// month m. Guarding on lastClosedK makes the barrier positions a
 		// pure function of the receipt sequence.
-		if closeK := i.windowOfMonth(m) - 1; closeK > i.lastClosedK {
+		if closeK := i.cfg.Monitor.Grid.Index(ev.Time) - 1; closeK > i.lastClosedK {
 			i.closeBarrier(closeK)
 		}
 	}
@@ -579,23 +576,6 @@ func (i *Ingestor) step(ev ReceiptEvent, m int) bool {
 	i.journalAdd(ev)
 	i.receipts.Add(1)
 	return true
-}
-
-// monthIndex returns the month index of t from the grid origin, in UTC
-// like Grid.MonthIndex — the barrier positions must agree with Grid.Index
-// or the drainer and the HTTP stale filter would disagree on offset-bearing
-// timestamps.
-func (i *Ingestor) monthIndex(t time.Time) int {
-	t = t.UTC()
-	return (t.Year()-i.grid.origin.Year())*12 + int(t.Month()) - int(i.grid.origin.Month())
-}
-
-// windowOfMonth returns the grid index of the window containing month m.
-func (i *Ingestor) windowOfMonth(m int) int {
-	if m >= 0 {
-		return m / i.grid.span
-	}
-	return -((-m + i.grid.span - 1) / i.grid.span)
 }
 
 // closeBarrier force-closes windows through k and publishes the alerts.
@@ -616,23 +596,6 @@ func (i *Ingestor) closeBarrier(k int) {
 	// the right moment to persist the journal segment covering everything
 	// up to it.
 	i.journalFlush()
-}
-
-// evictSweep force-evicts customers idle past the retention horizon as of
-// the already-closed watermark. NewIngestor runs it once after a restore:
-// the snapshot may have been taken under a longer (or no) horizon, and
-// this reclaims its expired customers without waiting for feed traffic.
-// From then on close barriers evict, since CloseThrough(k) drops every
-// customer whose horizon ends at or before k.
-func (i *Ingestor) evictSweep() {
-	if i.cfg.Monitor.RetentionWindows <= 0 {
-		return
-	}
-	alerts, _, err := i.mon.EvictIdle(i.lastClosedK)
-	if err != nil {
-		i.ingestErrs.Add(1)
-	}
-	i.publish(alerts)
 }
 
 // flushBarrier delivers shard-buffered ingest alerts without closing

@@ -365,12 +365,17 @@ func (i *Ingestor) followPoll() error {
 // the output. Like a queued batch, the poll counts as one batch once it
 // delivered a fresh receipt, and an ingest error ends it.
 func (i *Ingestor) processFollowBatch(s *store.Store) {
-	minK := i.lastClosedK + 1
+	// A receipt is fresh from the first month of the first open window on.
+	// A follower polls only with lastClosedK >= -1, so that month is never
+	// before the grid origin and the one test skips both kinds.
+	grid := i.cfg.Monitor.Grid
+	start, _ := grid.Bounds(i.lastClosedK + 1)
+	minMonth := grid.MonthIndex(start)
 	fresh, ok := false, true
 	var skipped uint64
 	store.EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-		m := i.monthIndex(r.Time)
-		if r.Time.Before(i.grid.origin) || i.windowOfMonth(m) < minK {
+		m := grid.MonthIndex(r.Time)
+		if m < minMonth {
 			skipped++
 			return true
 		}

@@ -38,7 +38,7 @@ var monitorMagic = [4]byte{'S', 'M', 'N', '1'}
 
 // WriteSnapshot persists every tracked customer's state.
 func (m *Monitor) WriteSnapshot(w io.Writer) error {
-	return writeMonitorStates(w, m.cfg.Grid, m.states)
+	return writeStates(w, m.cfg.Grid, []map[retail.CustomerID]*custState{m.states})
 }
 
 // snapshotWriter streams the SMN1 encoding state by state: the header is
@@ -144,29 +144,13 @@ func sortedStateIDs(states map[retail.CustomerID]*custState) []retail.CustomerID
 	return ids
 }
 
-// writeMonitorStates streams the SMN1 encoding of a customer-state map.
-// It iterates customers in ascending id order, so the bytes depend only on
-// the logical state, never on which monitor flavor produced it.
-func writeMonitorStates(w io.Writer, grid window.Grid, states map[retail.CustomerID]*custState) error {
-	sw, err := newSnapshotWriter(w, grid, len(states))
-	if err != nil {
-		return err
-	}
-	for _, id := range sortedStateIDs(states) {
-		if err := sw.writeState(id, states[id]); err != nil {
-			return err
-		}
-	}
-	return sw.flush()
-}
-
-// writeShardedStates streams the SMN1 encoding of disjoint per-shard state
-// maps by merging their sorted id lists on the fly — customer states flow
-// straight from the shard maps to the writer, with no merged intermediate
-// map. The bytes are identical to writeMonitorStates over the union: the
-// shard partition is disjoint, so the merged walk is the global ascending
-// id order.
-func writeShardedStates(w io.Writer, grid window.Grid, shardStates []map[retail.CustomerID]*custState) error {
+// writeStates streams the SMN1 encoding of disjoint customer-state maps
+// (one per shard, or a Monitor's single map) by merging their sorted id
+// lists on the fly — customer states flow straight from the maps to the
+// writer, with no merged intermediate map. The partition is disjoint, so
+// the merged walk is the global ascending id order: the bytes depend only
+// on the logical state, never on the shard count or monitor flavor.
+func writeStates(w io.Writer, grid window.Grid, shardStates []map[retail.CustomerID]*custState) error {
 	total := 0
 	heads := make([][]retail.CustomerID, len(shardStates))
 	for i, states := range shardStates {

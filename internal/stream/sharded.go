@@ -180,11 +180,39 @@ func (s *ShardedMonitor) Ingest(id retail.CustomerID, t time.Time, items retail.
 	return nil
 }
 
-// barrier drains every shard (channel FIFO guarantees all previously
-// enqueued receipts are processed first), runs fn on each shard goroutine,
-// and merges the collected alerts into (grid index, customer id) order.
-// The reported error is the lowest-sequence ingest error across shards since
-// the last barrier; reporting clears it.
+// onShards sends fn to every shard goroutine as one control closure and
+// waits for all of them; channel FIFO runs each after every receipt
+// enqueued on that shard before the call. fn(i, sh) has exclusive access to
+// shard i's state while it runs.
+func (s *ShardedMonitor) onShards(fn func(i int, sh *shard)) {
+	var wg sync.WaitGroup
+	wg.Add(len(s.shards))
+	for i, sh := range s.shards {
+		sh.ch <- shardMsg{ctl: func() {
+			fn(i, sh)
+			wg.Done()
+		}}
+	}
+	wg.Wait()
+}
+
+// visit runs fn on every shard: directly once Close has stopped the shard
+// goroutines, otherwise through onShards. Close sets closed before its
+// final barrier, so that barrier must use onShards, not visit.
+func (s *ShardedMonitor) visit(fn func(i int, sh *shard)) {
+	if !s.closed.Load() {
+		s.onShards(fn)
+		return
+	}
+	for i, sh := range s.shards {
+		fn(i, sh)
+	}
+}
+
+// barrier drains every shard, runs fn on each shard goroutine, and merges
+// the collected alerts into (grid index, customer id) order. The reported
+// error is the lowest-sequence ingest error across shards since the last
+// barrier; reporting clears it.
 func (s *ShardedMonitor) barrier(fn func(sh *shard) []Alert) ([]Alert, error) {
 	type out struct {
 		alerts []Alert
@@ -192,17 +220,10 @@ func (s *ShardedMonitor) barrier(fn func(sh *shard) []Alert) ([]Alert, error) {
 		seq    uint64
 	}
 	outs := make([]out, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			defer wg.Done()
-			outs[i] = out{alerts: fn(sh), err: sh.firstErr, seq: sh.errSeq}
-			sh.firstErr, sh.errSeq = nil, 0
-		}}
-	}
-	wg.Wait()
+	s.onShards(func(i int, sh *shard) {
+		outs[i] = out{alerts: fn(sh), err: sh.firstErr, seq: sh.errSeq}
+		sh.firstErr, sh.errSeq = nil, 0
+	})
 	var merged []Alert
 	var err error
 	errSeq := uint64(math.MaxUint64)
@@ -258,45 +279,11 @@ func (s *ShardedMonitor) CloseThrough(k int) ([]Alert, error) {
 	})
 }
 
-// EvictIdle drains every shard and applies Monitor.EvictIdle(k) on each,
-// returning the merged alerts in canonical order plus the number of
-// customers evicted across shards. A CloseThrough barrier already evicts
-// inline; this is the explicit sweep NewIngestor runs after restoring a
-// snapshot taken under a longer (or no) horizon.
-func (s *ShardedMonitor) EvictIdle(k int) ([]Alert, int, error) {
-	if s.closed.Load() {
-		return nil, 0, ErrClosed
-	}
-	var n atomic.Int64
-	alerts, err := s.barrier(func(sh *shard) []Alert {
-		a, evicted := sh.mon.EvictIdle(k)
-		n.Add(int64(evicted))
-		return append(drainFn(sh), a...)
-	})
-	return alerts, int(n.Load()), err
-}
-
 // Evicted returns the cumulative number of customers dropped at the
 // retention horizon across all shards, like Monitor.Evicted.
 func (s *ShardedMonitor) Evicted() uint64 {
-	if s.closed.Load() {
-		var total uint64
-		for _, sh := range s.shards {
-			total += sh.mon.Evicted()
-		}
-		return total
-	}
 	var total atomic.Uint64
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		sh := sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			total.Add(sh.mon.Evicted())
-			wg.Done()
-		}}
-	}
-	wg.Wait()
+	s.visit(func(_ int, sh *shard) { total.Add(sh.mon.Evicted()) })
 	return total.Load()
 }
 
@@ -361,54 +348,28 @@ func (s *ShardedMonitor) Stabilities(ids []retail.CustomerID, dst []CustomerStab
 		}
 		return dst
 	}
-	// The closures capture a never-reassigned copy of the slice header so
+	// The closure captures a never-reassigned copy of the slice header so
 	// the dst parameter itself stays off the heap: reassigning a captured
 	// variable would force it heap-allocated at function entry, charging
 	// the allocation-free closed path too.
 	out := dst
-	var wg sync.WaitGroup
-	for si, sh := range s.shards {
-		si, sh := si, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			for i, id := range ids {
-				if shardIndex(id, n) != si {
-					continue
-				}
-				v, k, ok := sh.mon.Stability(id)
-				out[i] = CustomerStability{Customer: id, Value: v, GridIndex: k, OK: ok}
+	s.onShards(func(si int, sh *shard) {
+		for i, id := range ids {
+			if shardIndex(id, n) != si {
+				continue
 			}
-			wg.Done()
-		}}
-	}
-	wg.Wait()
+			v, k, ok := sh.mon.Stability(id)
+			out[i] = CustomerStability{Customer: id, Value: v, GridIndex: k, OK: ok}
+		}
+	})
 	return dst
 }
 
 // Customers returns the number of customers tracked across all shards.
 func (s *ShardedMonitor) Customers() int {
-	counts := make([]int, len(s.shards))
-	if s.closed.Load() {
-		for i, sh := range s.shards {
-			counts[i] = sh.mon.Customers()
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			i, sh := i, sh
-			wg.Add(1)
-			sh.ch <- shardMsg{ctl: func() {
-				counts[i] = sh.mon.Customers()
-				wg.Done()
-			}}
-		}
-		wg.Wait()
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
+	var total atomic.Int64
+	s.visit(func(_ int, sh *shard) { total.Add(int64(sh.mon.Customers())) })
+	return int(total.Load())
 }
 
 // WriteSnapshot persists the monitor in the same SMN1 format as
@@ -424,7 +385,7 @@ func (s *ShardedMonitor) Customers() int {
 // lost across a restart.
 func (s *ShardedMonitor) WriteSnapshot(w io.Writer) error {
 	if s.closed.Load() {
-		return writeShardedStates(w, s.cfg.Grid, s.shardStates())
+		return writeStates(w, s.cfg.Grid, s.shardStates())
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -440,7 +401,7 @@ func (s *ShardedMonitor) WriteSnapshot(w io.Writer) error {
 	// All shard goroutines are parked on release: their states are
 	// quiescent and safe to read from here until release closes.
 	arrived.Wait()
-	err := writeShardedStates(w, s.cfg.Grid, s.shardStates())
+	err := writeStates(w, s.cfg.Grid, s.shardStates())
 	close(release)
 	return err
 }
@@ -460,30 +421,15 @@ func (s *ShardedMonitor) shardStates() []map[retail.CustomerID]*custState {
 // k+1, the index replay should resume feeding from. ok is false when no
 // customers are tracked.
 func (s *ShardedMonitor) Watermark() (k int, ok bool) {
-	if s.closed.Load() {
-		for _, sh := range s.shards {
-			if sk, sok := sh.mon.Watermark(); sok && (!ok || sk < k) {
-				k, ok = sk, true
-			}
-		}
-		return k, ok
-	}
 	type minK struct {
 		k  int
 		ok bool
 	}
 	mins := make([]minK, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			k, ok := sh.mon.Watermark()
-			mins[i] = minK{k: k, ok: ok}
-			wg.Done()
-		}}
-	}
-	wg.Wait()
+	s.visit(func(i int, sh *shard) {
+		k, ok := sh.mon.Watermark()
+		mins[i] = minK{k: k, ok: ok}
+	})
 	for _, m := range mins {
 		if m.ok && (!ok || m.k < k) {
 			k, ok = m.k, true

@@ -559,6 +559,8 @@ func TestShardedClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	openEvicted := s.Evicted()
+	openK, openOK := s.Watermark()
 	if _, err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -580,6 +582,12 @@ func TestShardedClosed(t *testing.T) {
 	}
 	if v, k, ok := s.Stability(3); !ok || k != 0 || v != 1 {
 		t.Fatalf("Stability after Close = %v,%d,%v", v, k, ok)
+	}
+	if got := s.Evicted(); got != openEvicted {
+		t.Fatalf("Evicted after Close = %d, want %d", got, openEvicted)
+	}
+	if k, ok := s.Watermark(); k != openK || ok != openOK {
+		t.Fatalf("Watermark after Close = %d,%v, want %d,%v", k, ok, openK, openOK)
 	}
 	var snap bytes.Buffer
 	if err := s.WriteSnapshot(&snap); err != nil {

@@ -354,38 +354,6 @@ func (m *Monitor) CloseThrough(k int) []Alert {
 	return alerts
 }
 
-// EvictIdle drops every customer whose retention horizon ends at or before
-// grid index k: their remaining windows inside the horizon are scored
-// (empty, possibly alerting) and the state is freed. CloseThrough applies
-// the same rule inline, so under a steadily advancing feed a sweep finds
-// nothing; EvictIdle exists for the one explicit sweep, after a restore of
-// a snapshot taken under a longer (or no) horizon (NewIngestor runs it). It
-// returns the alerts raised and the number of customers evicted, and is a
-// no-op when RetentionWindows is 0.
-func (m *Monitor) EvictIdle(k int) ([]Alert, int) {
-	if m.cfg.RetentionWindows <= 0 {
-		return nil, 0
-	}
-	m.mergeIDs()
-	var alerts []Alert
-	n := 0
-	for _, id := range m.ids {
-		st := m.states[id]
-		if limit := st.lastActiveK + m.cfg.RetentionWindows; limit <= k {
-			if st.openK <= limit {
-				alerts = append(alerts, m.closeThrough(id, st, limit)...)
-			}
-			delete(m.states, id)
-			m.evicted++
-			n++
-		}
-	}
-	if n > 0 {
-		m.compactIDs()
-	}
-	return alerts, n
-}
-
 // Evicted returns the cumulative number of customers dropped at the
 // retention horizon (including horizon-crossing returns, which end the old
 // relationship). Restored monitors start the count at zero.
