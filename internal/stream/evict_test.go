@@ -277,6 +277,99 @@ func TestIngestorRestoreEvictsPastHorizon(t *testing.T) {
 	}
 }
 
+// TestRestoreBarrierScoresNoOpenWindow checks the restore barrier against
+// the horizon rule directly: closing a restored monitor through its
+// watermark minus one evicts exactly the customers whose horizon ends at or
+// before that window, scores no open window, and without a horizon leaves
+// the snapshot byte-identical.
+func TestRestoreBarrierScoresNoOpenWindow(t *testing.T) {
+	const horizon = 2
+	g := testGrid(t)
+	feed, last := attritionFeed(t, 11, 24, 10, horizon)
+	fullCfg := testConfig(t, 0.7)
+	_, orig := replaySingle(t, fullCfg, feed, 9)
+	// One customer runs ahead of the rest, so an open window lies past the
+	// watermark.
+	var ahead retail.CustomerID
+	for id, lw := range last {
+		if lw == 10 && (ahead == 0 || id < ahead) {
+			ahead = id
+		}
+	}
+	if ahead == 0 {
+		t.Fatal("no customer active in the last window")
+	}
+	if _, err := orig.Ingest(ahead, at(g, 12, 1), retail.NewBasket([]retail.ItemID{1})); err != nil {
+		t.Fatal(err)
+	}
+	last[ahead] = 12
+	var snap bytes.Buffer
+	if err := orig.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without a horizon the barrier is a no-op.
+	full, err := ReadMonitorSnapshot(bytes.NewReader(snap.Bytes()), fullCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := full.Watermark()
+	if !ok || k != 10 {
+		t.Fatalf("restored watermark %d,%v, want 10", k, ok)
+	}
+	if alerts := full.CloseThrough(k - 1); len(alerts) != 0 {
+		t.Fatalf("full-retention restore barrier raised %d alerts", len(alerts))
+	}
+	if full.Evicted() != 0 || full.Customers() != len(last) {
+		t.Fatalf("full-retention restore barrier: evicted=%d customers=%d, want 0/%d",
+			full.Evicted(), full.Customers(), len(last))
+	}
+	var again bytes.Buffer
+	if err := full.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Fatal("full-retention restore barrier changed the snapshot")
+	}
+
+	// Under a horizon it evicts exactly the customers past it.
+	evictCfg := fullCfg
+	evictCfg.RetentionWindows = horizon
+	mon, err := ReadMonitorSnapshot(bytes.NewReader(snap.Bytes()), evictCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alerts := mon.CloseThrough(k - 1); len(alerts) != 0 {
+		t.Fatalf("restore barrier raised %d alerts", len(alerts))
+	}
+	expired := 0
+	for id, lw := range last {
+		v, gk, ok := mon.Stability(id)
+		if lw+horizon <= k-1 {
+			expired++
+			if ok {
+				t.Fatalf("customer %d (last active %d) survived the restore barrier", id, lw)
+			}
+			continue
+		}
+		fv, fk, fok := full.Stability(id)
+		if v != fv || gk != fk || ok != fok {
+			t.Fatalf("customer %d: stability (%v,%d,%v) after restore barrier, want (%v,%d,%v)",
+				id, v, gk, ok, fv, fk, fok)
+		}
+	}
+	if expired == 0 || expired == len(last) {
+		t.Fatalf("restore barrier evicts %d of %d customers; feed exercises only one side", expired, len(last))
+	}
+	if mon.Evicted() != uint64(expired) || mon.Customers() != len(last)-expired {
+		t.Fatalf("restore barrier: evicted=%d customers=%d, want %d/%d",
+			mon.Evicted(), mon.Customers(), expired, len(last)-expired)
+	}
+	if wk, ok := mon.Watermark(); !ok || wk != k {
+		t.Fatalf("watermark after restore barrier %d,%v, want %d", wk, ok, k)
+	}
+}
+
 // TestEvictionSnapshotRoundTrip proves lastActiveK survives persistence: a
 // restored monitor evicts at exactly the same barrier as the original.
 func TestEvictionSnapshotRoundTrip(t *testing.T) {
