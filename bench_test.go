@@ -942,11 +942,11 @@ func monthlyChain(b *testing.B) (string, uint64, window.Grid) {
 
 // BenchmarkFollowCatchUp measures a follow-mode restart: a fresh Ingestor
 // tails an STB1 chain holding the shared dataset as one segment per month
-// and catches up over the whole chain. Its first poll decodes every
-// segment, the drainer orders the receipts by time and feeds the monitor,
-// and the op ends once every receipt is ingested and the ingestor closed.
-// This is the catch-up half of the serving path; BenchmarkServeIngest
-// covers the HTTP half.
+// and catches up over the whole chain. The drainer's start poll decodes
+// every segment and feeds the monitor in month order before Close can
+// stop it, so the op is NewIngestor plus Close, and it fails unless every
+// receipt was ingested. This is the catch-up half of the serving path;
+// BenchmarkServeIngest covers the HTTP half.
 func BenchmarkFollowCatchUp(b *testing.B) {
 	path, receipts, grid := monthlyChain(b)
 	b.ResetTimer()
@@ -961,11 +961,11 @@ func BenchmarkFollowCatchUp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for ing.Metrics().ReceiptsIngested < receipts {
-			time.Sleep(time.Millisecond)
-		}
 		if err := ing.Close(); err != nil {
 			b.Fatal(err)
+		}
+		if got := ing.Metrics().ReceiptsIngested; got != receipts {
+			b.Fatalf("ingested %d receipts, want %d", got, receipts)
 		}
 	}
 }

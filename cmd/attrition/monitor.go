@@ -14,12 +14,14 @@ import (
 	"github.com/gautrais/stability/internal/store"
 )
 
-// cmdMonitor replays a receipt dataset in timestamp order through the
-// sharded streaming monitor and prints every alert, demonstrating the
-// production deployment shape of the model on recorded data. Alerts are
-// collected at each window boundary (the feed's watermark), so output is
-// deterministic for any -shards value. The batch replay is the one-shot
-// reference a -follow session's output is checked against.
+// cmdMonitor replays a receipt dataset month by month through the sharded
+// streaming monitor and prints every alert, demonstrating the production
+// deployment shape of the model on recorded data. Within a month receipts
+// go customer by customer, each customer's in time order: a window's score
+// depends only on the baskets in it, so that order reaches no output.
+// Alerts are collected at each window boundary (the feed's watermark), so
+// output is deterministic for any -shards value. The batch replay is the
+// one-shot reference a -follow session's output is checked against.
 //
 // With -state, the monitor becomes an incremental consumer of a growing
 // dataset: the first run processes the file and persists the monitor
@@ -90,7 +92,7 @@ func cmdMonitor(args []string) error {
 	}
 	feed := make([]event, 0, st.NumReceipts())
 	skipped := 0
-	store.EachByTime(st, func(id stability.CustomerID, r stability.Receipt) bool {
+	store.EachByMonth(st, grid.MonthIndex, func(id stability.CustomerID, r stability.Receipt, _ int) bool {
 		if grid.Index(r.Time) < resumeK {
 			skipped++ // window already scored by a previous -state run
 		} else {

@@ -25,11 +25,11 @@
 //
 // With -follow, the in-process daemon ingests by tailing an STB1 snapshot
 // chain instead of HTTP: loadgen plays the external snapshot writer,
-// appending one segment per -batch receipts from a single writer (POST
-// /v1/receipts answers 409 in this mode). Halfway through, the chain is
-// compacted in place (-follow-compact), driving the daemon's follower
-// through its resync protocol mid-load; verification afterwards is the
-// same exact comparison against the sequential replay.
+// appending the feed in month order, one segment per -batch receipts, from
+// a single writer (POST /v1/receipts answers 409 in this mode). Halfway
+// through, the chain is compacted in place (-follow-compact), driving the
+// daemon's follower through its resync protocol mid-load; verification
+// afterwards is the same exact comparison against the sequential replay.
 package main
 
 import (
@@ -364,8 +364,11 @@ func applyChurn(feed []receipt, grid stability.Grid, frac float64, months int) [
 	return out
 }
 
-// sortedFeed flattens the dataset into one receipt slice ordered by time,
-// then customer id, and anchors the window grid at the earliest receipt.
+// sortedFeed flattens the dataset into one receipt slice ordered by month,
+// then customer id, each customer's receipts in time order, and anchors
+// the window grid at the earliest receipt. Every mode plays the feed month
+// by month, and the daemon scores a window by the baskets in it, so the
+// order within a month reaches no output.
 func sortedFeed(ds *stability.SampleDataset, span int) ([]receipt, stability.Grid, error) {
 	min, _, ok := ds.Store.TimeRange()
 	if !ok {
@@ -376,7 +379,7 @@ func sortedFeed(ds *stability.SampleDataset, span int) ([]receipt, stability.Gri
 		return nil, stability.Grid{}, err
 	}
 	feed := make([]receipt, 0, ds.Store.NumReceipts())
-	store.EachByTime(ds.Store, func(id stability.CustomerID, r stability.Receipt) bool {
+	store.EachByMonth(ds.Store, grid.MonthIndex, func(id stability.CustomerID, r stability.Receipt, _ int) bool {
 		items := make([]uint32, len(r.Items))
 		for i, it := range r.Items {
 			items[i] = uint32(it)

@@ -86,6 +86,33 @@ func TestLoadgenQueryMix(t *testing.T) {
 	}
 }
 
+// TestLoadgenFollow runs the pipeline in follow mode: the daemon tails
+// the feed appended in month order as STB1 segments, run fails unless the
+// mid-run compaction made it resync, and verification must still be
+// exact.
+func TestLoadgenFollow(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-customers", "40", "-months", "16", "-batch", "75",
+		"-queries", "60", "-shards", "4", "-follow",
+	}, &out)
+	if err != nil {
+		t.Fatalf("loadgen -follow failed: %v\noutput:\n%s", err, out.String())
+	}
+	s := out.String()
+	for _, want := range []string{
+		"compaction mid-tail:", "1 resyncs",
+		"verification: daemon matches sequential replay",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "alert stream: 0 alerts") {
+		t.Error("no alerts fired; the verification run is vacuous")
+	}
+}
+
 // TestBackoffWait pins the deterministic 429 backoff schedule.
 func TestBackoffWait(t *testing.T) {
 	cases := []struct {

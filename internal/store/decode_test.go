@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/gautrais/stability/internal/retail"
+	"github.com/gautrais/stability/internal/window"
 )
 
 // TestFollowerTornTailBeforeBasketChecks: a receipt's spend and basket
@@ -141,32 +142,51 @@ func TestDecodeSortsOnlyOutOfOrderHistories(t *testing.T) {
 	}
 }
 
-// TestEachByTimeFarInstants: instants whose Unix second count lies near
-// the int64 limits order as time.Time orders them, which is not the
-// order of their Unix seconds.
-func TestEachByTimeFarInstants(t *testing.T) {
-	b := NewBuilder()
-	times := []time.Time{
-		time.Unix(math.MaxInt64-5, 0), time.Unix(0, 1), time.Unix(0, 0),
-		time.Unix(math.MinInt64+5, 0), time.Unix(-unixToInternal, 0), time.Unix(math.MaxInt64-5, 0).In(fuzzZones[1]),
+// TestEachByMonthFarInstants: receipts at Unix ±1e18 s and around the
+// instants where time.Time's calendar wraps are visited at once, with no
+// walk over the trillions of months between them, and a history whose
+// grid month falls at the wrap keeps its order, each receipt handed its
+// running maximum month.
+func TestEachByMonthFarInstants(t *testing.T) {
+	grid, err := window.NewGrid(day(0), window.Span{Months: 2})
+	must(t, err)
+	const year1 = -62135596800 // the Unix second of 0001-01-01, time.Time's zero
+	customers := [][]time.Time{
+		// Sorted by time, MaxInt64-5 s comes first (it wraps to the
+		// earliest instant time.Time holds) and MinInt64+5 s second, both
+		// dated past year 292 billion; the third is dated before year
+		// -292 billion, so the month falls there.
+		{
+			time.Unix(1e18, 0), time.Unix(math.MinInt64-year1-1, 0), time.Unix(0, 0),
+			time.Unix(math.MinInt64+5, 0), time.Unix(-1e18, 0), time.Unix(math.MaxInt64-5, 0).In(fuzzZones[1]),
+		},
+		{time.Unix(1e18, 0), time.Unix(-1e18, 0).In(fuzzZones[2]), time.Unix(0, 0)},
+		{time.Unix(math.MaxInt64+year1, 0), time.Unix(-1e18, 0)},
 	}
-	for k, ts := range times {
-		must(t, b.Add(retail.CustomerID(k%3), ts, []retail.ItemID{1}, float64(k)))
+	b := NewBuilder()
+	for id, times := range customers {
+		for k, ts := range times {
+			must(t, b.Add(retail.CustomerID(id), ts, []retail.ItemID{1}, float64(10*id+k)))
+		}
 	}
 	s := b.Build()
-	want := timeSortedReference(s)
-	var got []visit
-	EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-		got = append(got, visit{id, r})
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("visited %d receipts, want %d", len(got), len(want))
+	h, err := s.History(0)
+	must(t, err)
+	if m := grid.MonthIndex; m(h.Receipts[2].Time) >= m(h.Receipts[1].Time) {
+		t.Fatalf("customer 0's month does not fall: %d then %d", m(h.Receipts[1].Time), m(h.Receipts[2].Time))
 	}
-	for k := range want {
-		if got[k].id != want[k].id || got[k].r.Spend != want[k].r.Spend {
-			t.Fatalf("visit %d: customer %d spend %v, want customer %d spend %v",
-				k, got[k].id, got[k].r.Spend, want[k].id, want[k].r.Spend)
+	got, calls := collectByMonth(s, grid.MonthIndex, func(int) bool { return false })
+	if calls != s.NumReceipts() {
+		t.Fatalf("month computed %d times for %d receipts", calls, s.NumReceipts())
+	}
+	checkVisits(t, got, monthSortedReference(s, grid.MonthIndex))
+	// Customer 0's running maximum is its first month, so its whole
+	// history comes last, in history order.
+	tail := got[len(got)-len(h.Receipts):]
+	for k, v := range tail {
+		if v.id != 0 || v.r.Spend != h.Receipts[k].Spend || v.m != grid.MonthIndex(h.Receipts[0].Time) {
+			t.Fatalf("visit %d of the tail: customer %d spend %v month %d, want customer 0 spend %v month %d",
+				k, v.id, v.r.Spend, v.m, h.Receipts[k].Spend, grid.MonthIndex(h.Receipts[0].Time))
 		}
 	}
 }

@@ -135,23 +135,60 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
-// timeSortedReference is the order EachByTime must reproduce: every
-// receipt flattened in Each order, then stably sorted by time.
-func timeSortedReference(s *Store) []visit {
+// monthSortedReference is the order EachByMonth must reproduce: every
+// receipt flattened in Each order and tagged with its customer's running
+// maximum month, then stably sorted by that month.
+func monthSortedReference(s *Store, month func(time.Time) int) []visit {
 	var out []visit
 	s.Each(func(h retail.History) bool {
-		for _, r := range h.Receipts {
-			out = append(out, visit{h.Customer, r})
+		for pos, r := range h.Receipts {
+			m := month(r.Time)
+			if prev := len(out) - 1; pos > 0 && out[prev].m > m {
+				m = out[prev].m
+			}
+			out = append(out, visit{h.Customer, r, m})
 		}
 		return true
 	})
-	sort.SliceStable(out, func(a, b int) bool { return out[a].r.Time.Before(out[b].r.Time) })
+	sort.SliceStable(out, func(a, b int) bool { return out[a].m < out[b].m })
 	return out
 }
 
 type visit struct {
 	id retail.CustomerID
 	r  retail.Receipt
+	m  int
+}
+
+// collectByMonth runs EachByMonth until stop returns true and records the
+// visits and how often month was called.
+func collectByMonth(s *Store, month func(time.Time) int, stop func(n int) bool) (got []visit, calls int) {
+	counted := func(t time.Time) int {
+		calls++
+		return month(t)
+	}
+	EachByMonth(s, counted, func(id retail.CustomerID, r retail.Receipt, m int) bool {
+		got = append(got, visit{id, r, m})
+		return !stop(len(got))
+	})
+	return got, calls
+}
+
+// checkVisits fails unless got is want, receipt for receipt and month for
+// month.
+func checkVisits(t *testing.T, got, want []visit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("visited %d receipts, want %d", len(got), len(want))
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.id != w.id || g.m != w.m || g.r.Spend != w.r.Spend || !g.r.Time.Equal(w.r.Time) ||
+			g.r.Time.Location() != w.r.Time.Location() || !g.r.Items.Equal(w.r.Items) {
+			t.Fatalf("visit %d: got customer %d month %d at %v (spend %v), want customer %d month %d at %v (spend %v)",
+				k, g.id, g.m, g.r.Time, g.r.Spend, w.id, w.m, w.r.Time, w.r.Spend)
+		}
+	}
 }
 
 // fuzzZones are the locations fuzzed receipts are stamped in: equal
@@ -163,18 +200,32 @@ var fuzzZones = []*time.Location{
 	time.FixedZone("PST", -8*3600),
 }
 
-// FuzzEachByTime builds a store from the fuzz bytes and checks that the
-// k-way merge visits exactly the sequence a stable time sort of the
-// flattened store gives. Each 3-byte record is one receipt: customer (few
-// ids, so histories interleave), a coarse time (so timestamps collide
-// within and across customers) and a zone. The time byte's low 5 bits
-// pick an hour and its top bit adds 400ms, so some receipts share a
-// second and differ in nanoseconds, and some differ in both, in opposite
-// orders; bits 5 and 6 are ignored, so four byte values name each of the
-// 64 instants and ties stay common. The first byte picks absent customers
-// to add as empty histories and the second a visit count after which fn
-// stops the iteration (0 = never).
-func FuzzEachByTime(f *testing.F) {
+// fuzzMonth is the month FuzzEachByMonth visits by: every four hours
+// after day(0) make one month, so months hold ties within and across
+// customers, and a receipt 400ms past its hour is dated three months
+// back, so months fall along a history the way grid months do where
+// time.Time's calendar wraps.
+func fuzzMonth(t time.Time) int {
+	m := int(t.Sub(day(0))/time.Hour) / 4
+	if t.Nanosecond() != 0 {
+		m -= 3
+	}
+	return m
+}
+
+// FuzzEachByMonth builds a store from the fuzz bytes and checks that the
+// month visit gives exactly the sequence, and the months, of a stable sort
+// of the flattened store by each customer's running maximum month, and
+// that it computes each receipt's month once. Each 3-byte record is one
+// receipt: customer (few ids, so histories interleave), a coarse time (so
+// timestamps collide within and across customers) and a zone. The time
+// byte's low 5 bits pick an hour and its top bit adds 400ms, so some
+// receipts share a second and differ in nanoseconds, and fuzzMonth dates
+// those back; bits 5 and 6 are ignored, so four byte values name each of
+// the 64 instants and ties stay common. The first byte picks absent
+// customers to add as empty histories and the second a visit count after
+// which fn stops the iteration (0 = never).
+func FuzzEachByMonth(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0})       // one customer, all receipts at one instant
@@ -186,6 +237,10 @@ func FuzzEachByTime(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 0x83, 0, 1, 0x03, 0, 2, 0x04, 1, 1, 0x83, 2, 2, 0xa3, 0})
 	// One instant in all three zones, across customers and within one.
 	f.Add([]byte{0, 0, 0, 5, 2, 1, 5, 1, 0, 5, 0, 2, 5, 1, 1, 5, 2, 0, 4, 0})
+	// Months that fall and rise again along one history: 8h, 8h+0.4s
+	// (three months back), 9h, 13h+0.4s (back below 8h's month) and 16h,
+	// with another customer in between.
+	f.Add([]byte{0, 0, 1, 8, 0, 1, 0x88, 1, 2, 6, 0, 1, 9, 2, 1, 0x8d, 0, 1, 16, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var empties, stopAt byte
 		if len(data) >= 2 {
@@ -216,26 +271,15 @@ func FuzzEachByTime(f *testing.F) {
 		sort.Slice(hs, func(a, b int) bool { return hs[a].Customer < hs[b].Customer })
 		s := assemble(hs)
 
-		want := timeSortedReference(s)
+		want := monthSortedReference(s, fuzzMonth)
 		if stopAt > 0 && int(stopAt) < len(want) {
 			want = want[:stopAt]
 		}
-		var got []visit
-		EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-			got = append(got, visit{id, r})
-			return stopAt == 0 || len(got) < int(stopAt)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("visited %d receipts, want %d", len(got), len(want))
+		got, calls := collectByMonth(s, fuzzMonth, func(n int) bool { return n == int(stopAt) })
+		if calls != s.NumReceipts() {
+			t.Fatalf("month computed %d times for %d receipts", calls, s.NumReceipts())
 		}
-		for k := range want {
-			g, w := got[k], want[k]
-			if g.id != w.id || g.r.Spend != w.r.Spend || !g.r.Time.Equal(w.r.Time) ||
-				g.r.Time.Location() != w.r.Time.Location() || !g.r.Items.Equal(w.r.Items) {
-				t.Fatalf("visit %d: got customer %d at %v (spend %v), want customer %d at %v (spend %v)",
-					k, g.id, g.r.Time, g.r.Spend, w.id, w.r.Time, w.r.Spend)
-			}
-		}
+		checkVisits(t, got, want)
 	})
 }
 

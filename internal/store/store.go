@@ -11,6 +11,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -77,96 +78,47 @@ func (s *Store) Each(fn func(h retail.History) bool) {
 	}
 }
 
-// EachByTime calls fn for every receipt of s ordered by time, then customer
-// id, then position in the customer's history. fn must not mutate the
-// receipt. Iteration stops early if fn returns false.
+// EachByMonth calls fn for every receipt of s in (month, customer id,
+// history position) order, handing fn the month it visits the receipt in;
+// month is called once per receipt. fn must not mutate the receipt.
+// Iteration stops early if fn returns false.
 //
-// The order is exactly what flattening s with Each and stably sorting the
-// result by time gives, without the sort: every history is already a
-// chronological run, so a k-way merge of the runs suffices. The merge keeps
-// a heap of run heads keyed by instant, with ties going to the lower run
-// index; runs are in ascending customer order, so a time tie goes to the
-// lower customer id, and a run advances only after its earlier receipts
-// were visited.
-func EachByTime(s *Store, fn func(id retail.CustomerID, r retail.Receipt) bool) {
-	hs := s.histories
-	h := make(runHeap, 0, len(hs))
-	for run := range hs {
-		if rs := hs[run].Receipts; len(rs) > 0 {
-			head := runHead{run: run}
-			head.at(rs[0].Time)
-			h = append(h, head)
+// Each chronological history is cut into one block per month and the
+// blocks are sorted by (month, customer), so the work follows the receipts
+// and blocks, never the span of months between them. A customer's
+// receipts are never reordered: where the month falls along a history
+// (grid months fall only where time.Time's calendar wraps, past year ±292
+// billion), the receipt stays in its predecessor's block and is handed
+// that block's month, the running maximum along the history.
+func EachByMonth(s *Store, month func(time.Time) int, fn func(id retail.CustomerID, r retail.Receipt, m int) bool) {
+	type block struct {
+		month, run int // run indexes Store.histories
+		lo, hi     int // the block's receipts within the run
+	}
+	blocks := make([]block, 0, len(s.histories))
+	for run, h := range s.histories {
+		for pos, r := range h.Receipts {
+			m := month(r.Time)
+			if last := len(blocks) - 1; pos > 0 && m <= blocks[last].month {
+				blocks[last].hi++
+				continue
+			}
+			blocks = append(blocks, block{month: m, run: run, lo: pos, hi: pos + 1})
 		}
 	}
-	for j := len(h)/2 - 1; j >= 0; j-- {
-		h.down(j)
-	}
-	for len(h) > 0 {
-		top := &h[0]
-		hist := &hs[top.run]
-		if !fn(hist.Customer, hist.Receipts[top.pos]) {
-			return
+	slices.SortFunc(blocks, func(a, b block) int {
+		if c := cmp.Compare(a.month, b.month); c != 0 {
+			return c
 		}
-		if top.pos++; top.pos < len(hist.Receipts) {
-			top.at(hist.Receipts[top.pos].Time)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		return cmp.Compare(a.run, b.run)
+	})
+	for _, b := range blocks {
+		h := &s.histories[b.run]
+		for _, r := range h.Receipts[b.lo:b.hi] {
+			if !fn(h.Customer, r, b.month) {
+				return
+			}
 		}
-		h.down(0)
-	}
-}
-
-// unixToInternal is the time package's offset from Unix seconds to the
-// seconds since year 1 that time.Time holds and compares.
-const unixToInternal = 62135596800
-
-// runHead is one history's next unvisited receipt in EachByTime's merge,
-// keyed by the receipt's instant as integers: no pointer, no call to
-// compare.
-type runHead struct {
-	sec  int64 // seconds since year 1, wrapping as time.Time's do
-	nsec int   // nanoseconds within the second
-	run  int   // index into Store.histories
-	pos  int   // next receipt of the run
-}
-
-// at keys the head by t. Unix seconds shifted back to year 1, with
-// time.Time's own wrapping, order exactly as Time.Compare orders instants,
-// even past the years where the Unix count wraps.
-func (x *runHead) at(t time.Time) {
-	x.sec, x.nsec = t.Unix()+unixToInternal, t.Nanosecond()
-}
-
-// before orders run heads by instant, then run index.
-func (x *runHead) before(y *runHead) bool {
-	if x.sec != y.sec {
-		return x.sec < y.sec
-	}
-	if x.nsec != y.nsec {
-		return x.nsec < y.nsec
-	}
-	return x.run < y.run
-}
-
-// runHeap is a binary min-heap of run heads ordered by before.
-type runHeap []runHead
-
-// down restores the heap property below j.
-func (h runHeap) down(j int) {
-	for {
-		m := 2*j + 1
-		if m >= len(h) {
-			return
-		}
-		if r := m + 1; r < len(h) && h[r].before(&h[m]) {
-			m = r
-		}
-		if !h[m].before(&h[j]) {
-			return
-		}
-		h[j], h[m] = h[m], h[j]
-		j = m
 	}
 }
 

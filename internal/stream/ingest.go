@@ -139,10 +139,10 @@ type IngestorConfig struct {
 	SaveInterval time.Duration
 	// FlushInterval is the period of liveness Flush barriers, which deliver
 	// ingest-time alerts buffered inside shards to the alert log between
-	// window closes. 0 disables them. For a time-ordered feed every alert
-	// is raised at a window-close barrier, so flushes change nothing; for
-	// out-of-order feeds they only affect when alerts become visible,
-	// never which alerts exist.
+	// window closes. 0 disables them. For a feed whose months ascend
+	// every alert is raised at a window-close barrier, so flushes change
+	// nothing; for out-of-order feeds they only affect when alerts become
+	// visible, never which alerts exist.
 	FlushInterval time.Duration
 	// FollowPath, when non-empty, switches the ingestor to file-driven
 	// ingestion: instead of accepting Enqueue batches (Enqueue returns
@@ -736,8 +736,8 @@ func (i *Ingestor) Watermark() int { return int(i.watermark.Load()) }
 // Metrics returns a snapshot of the ingestion counters.
 func (i *Ingestor) Metrics() IngestorMetrics {
 	i.monMu.RLock()
-	evicted := i.evictedBase + i.mon.Evicted()
-	retained := i.mon.Customers()
+	evicted, retained := i.mon.counts()
+	evicted += i.evictedBase
 	i.monMu.RUnlock()
 	return IngestorMetrics{
 		ReceiptsIngested:   i.receipts.Load(),

@@ -358,12 +358,14 @@ func (i *Ingestor) followPoll() error {
 // processFollowBatch feeds one polled store delta to the per-receipt step:
 // receipts before the grid origin or in windows already closed when the
 // poll began are skipped and counted in FollowSkipped, the rest are
-// visited in time order by store.EachByTime, and the step's month-advance
-// barriers implement the conservative close rule. Equal timestamps break
-// ties by customer id, then history position — the same total order a
-// sequential replay of the file uses, making poll batching invisible in
-// the output. Like a queued batch, the poll counts as one batch once it
-// delivered a fresh receipt, and an ingest error ends it.
+// visited in (month, customer id, history position) order by
+// store.EachByMonth, and the step's month-advance barriers implement the
+// conservative close rule. Months ascend and each customer's receipts keep
+// their history order, so the barriers fall where a sequential replay of
+// the file in time order puts them, and every window holds the same
+// baskets: the order within a month reaches no output, and poll batching
+// stays invisible. Like a queued batch, the poll counts as one batch once
+// it delivered a fresh receipt, and an ingest error ends it.
 func (i *Ingestor) processFollowBatch(s *store.Store) {
 	// A receipt is fresh from the first month of the first open window on.
 	// A follower polls only with lastClosedK >= -1, so that month is never
@@ -373,8 +375,7 @@ func (i *Ingestor) processFollowBatch(s *store.Store) {
 	minMonth := grid.MonthIndex(start)
 	fresh, ok := false, true
 	var skipped uint64
-	store.EachByTime(s, func(id retail.CustomerID, r retail.Receipt) bool {
-		m := grid.MonthIndex(r.Time)
+	store.EachByMonth(s, grid.MonthIndex, func(id retail.CustomerID, r retail.Receipt, m int) bool {
 		if m < minMonth {
 			skipped++
 			return true

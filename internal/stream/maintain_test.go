@@ -169,9 +169,11 @@ func TestFollowModeCountsSkippedReceipts(t *testing.T) {
 // receipts from every segment into each customer's history. The alert log
 // and SMN1 bytes must equal a sequential replay in the order a stable time
 // sort of the decoded file gives: time, then customer id, then history
-// position. Any order that is not chronological across customers moves
-// the month barriers and shows up here; the exact tie order, which the
-// monitor cannot observe, is pinned by store's FuzzEachByTime.
+// position. The follower visits the poll month by month instead; any
+// order that is not month-ascending across customers moves the month
+// barriers and shows up here. The order within a month, which the monitor
+// cannot observe, is pinned by store's FuzzEachByMonth and compared with
+// time order by FuzzFollowMonthOrder.
 func TestFollowModeCatchUpOverlappingSegments(t *testing.T) {
 	raw := randomFeed(t, 55, 12, 700)
 	const segments = 4

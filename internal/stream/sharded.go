@@ -282,9 +282,23 @@ func (s *ShardedMonitor) CloseThrough(k int) ([]Alert, error) {
 // Evicted returns the cumulative number of customers dropped at the
 // retention horizon across all shards, like Monitor.Evicted.
 func (s *ShardedMonitor) Evicted() uint64 {
-	var total atomic.Uint64
-	s.visit(func(_ int, sh *shard) { total.Add(sh.mon.Evicted()) })
-	return total.Load()
+	evicted, _ := s.counts()
+	return evicted
+}
+
+// counts returns Evicted and Customers from one visit of the shards. The
+// closure captures one struct, so the pair costs the allocations of one
+// count.
+func (s *ShardedMonitor) counts() (evicted uint64, customers int) {
+	var total struct {
+		evicted   atomic.Uint64
+		customers atomic.Int64
+	}
+	s.visit(func(_ int, sh *shard) {
+		total.evicted.Add(sh.mon.Evicted())
+		total.customers.Add(int64(sh.mon.Customers()))
+	})
+	return total.evicted.Load(), int(total.customers.Load())
 }
 
 // Close drains every shard, returns any remaining buffered alerts and
@@ -367,9 +381,8 @@ func (s *ShardedMonitor) Stabilities(ids []retail.CustomerID, dst []CustomerStab
 
 // Customers returns the number of customers tracked across all shards.
 func (s *ShardedMonitor) Customers() int {
-	var total atomic.Int64
-	s.visit(func(_ int, sh *shard) { total.Add(int64(sh.mon.Customers())) })
-	return int(total.Load())
+	_, customers := s.counts()
+	return customers
 }
 
 // WriteSnapshot persists the monitor in the same SMN1 format as
