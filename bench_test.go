@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"testing"
@@ -343,6 +344,91 @@ func BenchmarkMonitorIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// heapProbeEvent is one receipt of the heap probe's feed.
+type heapProbeEvent struct {
+	id retail.CustomerID
+	t  time.Time
+	it retail.Basket
+}
+
+// heapProbeFeed builds the memory-per-customer probe: seed 1, 24 months,
+// onset at month 16, flattened in time order (stable, so each customer's
+// receipts keep their history order), and the monitor configuration it
+// replays into: α=2, β=0.6, TopJ 3, warm-up 4, 2-month windows.
+func heapProbeFeed(tb testing.TB, customers int) (stream.Config, []heapProbeEvent) {
+	tb.Helper()
+	gc := gen.NewConfig()
+	gc.Seed = 1
+	gc.Customers = customers
+	gc.Months = 24
+	gc.OnsetMonth = 16
+	ds, err := gen.Generate(gc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	grid, err := window.NewGrid(gc.Start, window.Span{Months: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var feed []heapProbeEvent
+	ds.Store.Each(func(h retail.History) bool {
+		for _, r := range h.Receipts {
+			feed = append(feed, heapProbeEvent{h.Customer, r.Time, r.Items})
+		}
+		return true
+	})
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].t.Before(feed[j].t) })
+	cfg := stream.Config{Grid: grid, Model: core.Options{Alpha: 2}, Beta: 0.6, TopJ: 3, WarmupWindows: 4}
+	return cfg, feed
+}
+
+// monitorHeapPerCustomer replays feed into a fresh Monitor, closing through
+// the previous window at every month advance and discarding the alerts,
+// and returns the live heap the monitor holds per tracked customer: heap in
+// use after a GC, minus the same reading taken before the monitor existed.
+func monitorHeapPerCustomer(tb testing.TB, cfg stream.Config, feed []heapProbeEvent) float64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := stream.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	month := -1
+	for _, ev := range feed {
+		if mo := ev.t.Year()*12 + int(ev.t.Month()); mo != month {
+			month = mo
+			m.CloseThrough(cfg.Grid.Index(ev.t) - 1)
+		}
+		if _, err := m.Ingest(ev.id, ev.t, ev.it); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(m.Customers())
+	// The feed was live at the first reading: keep it live through the
+	// second, so that only the monitor's heap is in the difference.
+	runtime.KeepAlive(feed)
+	runtime.KeepAlive(m)
+	return per
+}
+
+// BenchmarkMonitorMemory records the heap a plain Monitor holds per
+// tracked customer (B/customer) after replaying the heap probe's feed at
+// 2,000 customers; each op replays into a fresh monitor.
+// TestMonitorHeapPerCustomer holds the same probe under a budget.
+func BenchmarkMonitorMemory(b *testing.B) {
+	cfg, feed := heapProbeFeed(b, 2000)
+	b.ResetTimer()
+	per := 0.0
+	for i := 0; i < b.N; i++ {
+		per = monitorHeapPerCustomer(b, cfg, feed)
+	}
+	b.ReportMetric(per, "B/customer")
 }
 
 // --- population engine ---

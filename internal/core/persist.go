@@ -29,7 +29,11 @@ import (
 var trackerMagic = [4]byte{'S', 'T', 'K', '1'}
 
 // WriteSnapshot serializes the tracker's full state.
-func (t *Tracker) WriteSnapshot(w io.Writer) error {
+func (t *Tracker) WriteSnapshot(w io.Writer) error { return t.st.WriteSnapshot(t.sc.opts, w) }
+
+// WriteSnapshot serializes the state as the snapshot of a tracker with
+// options opts: the bytes Tracker.WriteSnapshot writes for that tracker.
+func (s *State) WriteSnapshot(opts Options, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(trackerMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
@@ -52,42 +56,42 @@ func (t *Tracker) WriteSnapshot(w io.Writer) error {
 		}
 		return bw.WriteByte(b)
 	}
-	if err := putF(t.opts.Alpha); err != nil {
+	if err := putF(opts.Alpha); err != nil {
 		return err
 	}
-	if err := bw.WriteByte(byte(t.opts.Policy)); err != nil {
+	if err := bw.WriteByte(byte(opts.Policy)); err != nil {
 		return err
 	}
-	if err := putU(uint64(t.opts.MaxBlame)); err != nil {
+	if err := putU(uint64(opts.MaxBlame)); err != nil {
 		return err
 	}
-	if err := putU(uint64(t.windows)); err != nil {
+	if err := putU(uint64(s.windows)); err != nil {
 		return err
 	}
-	if err := putB(t.started); err != nil {
+	if err := putB(s.started); err != nil {
 		return err
 	}
-	if err := putU(uint64(t.seq)); err != nil {
+	if err := putU(uint64(s.seq)); err != nil {
 		return err
 	}
-	if err := putB(t.prevDefined); err != nil {
+	if err := putB(s.prevDefined); err != nil {
 		return err
 	}
-	if err := putF(t.prevStability); err != nil {
+	if err := putF(s.prevStability); err != nil {
 		return err
 	}
-	if err := putU(uint64(len(t.items))); err != nil {
+	if err := putU(uint64(len(s.items))); err != nil {
 		return err
 	}
 	// The item column is maintained in ascending id order — exactly the
 	// snapshot's wire order.
 	prev := uint64(0)
-	for i, id := range t.items {
+	for i, id := range s.items {
 		if err := putU(uint64(id) - prev); err != nil {
 			return err
 		}
 		prev = uint64(id)
-		if err := putU(uint64(t.counts[i])); err != nil {
+		if err := putU(uint64(s.counts[i])); err != nil {
 			return err
 		}
 	}
@@ -103,12 +107,26 @@ func ReadTrackerSnapshot(r io.Reader) (*Tracker, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
+	t := new(Tracker)
+	opts, err := t.st.ReadSnapshot(br)
+	if err != nil {
+		return nil, err
+	}
+	t.sc = newScorer(opts, SharedSigTable(opts.Alpha))
+	return t, nil
+}
+
+// ReadSnapshot decodes one tracker snapshot from br into s and returns the
+// options it was written with, validated. It replaces all of s, reusing its
+// column capacity, and reads no byte past the snapshot. On error s holds a
+// partial state.
+func (s *State) ReadSnapshot(br *bufio.Reader) (Options, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: read magic: %w", err)
+		return Options{}, fmt.Errorf("core: read magic: %w", err)
 	}
 	if magic != trackerMagic {
-		return nil, fmt.Errorf("core: bad magic %q (not a STK1 snapshot)", magic[:])
+		return Options{}, fmt.Errorf("core: bad magic %q (not a STK1 snapshot)", magic[:])
 	}
 	var f8 [8]byte
 	getF := func() (float64, error) {
@@ -124,84 +142,88 @@ func ReadTrackerSnapshot(r io.Reader) (*Tracker, error) {
 
 	alpha, err := getF()
 	if err != nil {
-		return nil, fmt.Errorf("core: read alpha: %w", err)
+		return Options{}, fmt.Errorf("core: read alpha: %w", err)
 	}
 	policyByte, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("core: read policy: %w", err)
+		return Options{}, fmt.Errorf("core: read policy: %w", err)
 	}
 	maxBlame, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("core: read maxBlame: %w", err)
+		return Options{}, fmt.Errorf("core: read maxBlame: %w", err)
 	}
 	opts := Options{Alpha: alpha, Policy: CountPolicy(policyByte), MaxBlame: int(maxBlame)}
-	t, err := NewTracker(opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot options: %w", err)
+	if err := opts.Validate(); err != nil {
+		return Options{}, fmt.Errorf("core: snapshot options: %w", err)
 	}
+	s.reset()
 	windows, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("core: read windows: %w", err)
+		return Options{}, fmt.Errorf("core: read windows: %w", err)
 	}
 	if windows > math.MaxInt32 {
-		return nil, fmt.Errorf("core: implausible window count %d", windows)
+		return Options{}, fmt.Errorf("core: implausible window count %d", windows)
 	}
-	t.windows = int32(windows)
-	if t.started, err = getB(); err != nil {
-		return nil, fmt.Errorf("core: read started: %w", err)
+	s.windows = int32(windows)
+	if s.started, err = getB(); err != nil {
+		return Options{}, fmt.Errorf("core: read started: %w", err)
 	}
 	seq, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("core: read seq: %w", err)
+		return Options{}, fmt.Errorf("core: read seq: %w", err)
 	}
-	t.seq = int(seq)
-	if t.prevDefined, err = getB(); err != nil {
-		return nil, fmt.Errorf("core: read prevDefined: %w", err)
+	s.seq = int(seq)
+	if s.prevDefined, err = getB(); err != nil {
+		return Options{}, fmt.Errorf("core: read prevDefined: %w", err)
 	}
-	if t.prevStability, err = getF(); err != nil {
-		return nil, fmt.Errorf("core: read prevStability: %w", err)
+	if s.prevStability, err = getF(); err != nil {
+		return Options{}, fmt.Errorf("core: read prevStability: %w", err)
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("core: read item count: %w", err)
+		return Options{}, fmt.Errorf("core: read item count: %w", err)
 	}
 	const maxItems = 1 << 28
 	if count > maxItems {
-		return nil, fmt.Errorf("core: implausible item count %d", count)
+		return Options{}, fmt.Errorf("core: implausible item count %d", count)
 	}
 	if count > 0 && count <= 1<<16 {
-		// Pre-size the columns for plausible repertoires; huge claimed
-		// counts allocate incrementally so a corrupt header can't balloon.
-		t.items = make([]retail.ItemID, 0, count)
-		t.counts = make([]int32, 0, count)
+		// Size the columns for plausible repertoires; huge claimed counts
+		// allocate incrementally so a corrupt header can't balloon.
+		if uint64(cap(s.items)) < count {
+			s.items = make([]retail.ItemID, 0, count)
+		}
+		if uint64(cap(s.counts)) < count {
+			s.counts = make([]int32, 0, count)
+		}
 	}
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		d, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("core: read item id: %w", err)
+			return Options{}, fmt.Errorf("core: read item id: %w", err)
 		}
 		if d == 0 && i > 0 {
 			// Ids are strictly ascending on the wire; a zero delta would
 			// duplicate an entry in the canonical order.
-			return nil, fmt.Errorf("core: duplicate item id %d in snapshot", prev)
+			return Options{}, fmt.Errorf("core: duplicate item id %d in snapshot", prev)
 		}
 		prev += d
 		if prev == 0 || prev > math.MaxUint32 {
-			return nil, fmt.Errorf("core: item id %d out of range", prev)
+			return Options{}, fmt.Errorf("core: item id %d out of range", prev)
 		}
 		c, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("core: read item counter: %w", err)
+			return Options{}, fmt.Errorf("core: read item counter: %w", err)
 		}
 		if c == 0 || c > windows {
-			return nil, fmt.Errorf("core: item %d count %d inconsistent with %d windows", prev, c, windows)
+			return Options{}, fmt.Errorf("core: item %d count %d inconsistent with %d windows", prev, c, windows)
 		}
-		t.items = append(t.items, retail.ItemID(prev)) // wire order is ascending
-		t.counts = append(t.counts, int32(c))
-		if int32(c) > t.maxCount {
-			t.maxCount = int32(c)
+		s.items = append(s.items, retail.ItemID(prev)) // wire order is ascending
+		s.counts = append(s.counts, int32(c))
+		if int32(c) > s.maxCount {
+			s.maxCount = int32(c)
 		}
 	}
-	return t, nil
+	return opts, nil
 }

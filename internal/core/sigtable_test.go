@@ -38,10 +38,10 @@ func TestSharedSigTableMatchesPrivate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shared.sig != churn.sig {
+			if shared.sc.sig != churn.sc.sig {
 				t.Fatal("two NewTracker trackers with equal α should share one table")
 			}
-			if shared.sig == private.sig {
+			if shared.sc.sig == private.sc.sig {
 				t.Fatal("private table leaked into the shared registry")
 			}
 			universe := 3 + rng.Intn(50)
@@ -136,7 +136,7 @@ func TestSigTableZeroBoundary(t *testing.T) {
 		}
 		for _, d := range []int32{z - 1, z, z + 7} {
 			want := math.Exp(float64(-2*d) * logA)
-			if got := tr.term(d); got != want {
+			if got := tr.sc.term(d); got != want {
 				t.Fatalf("α=%v: tracker term(%d) = %x, want %x", alpha, d, got, want)
 			}
 		}

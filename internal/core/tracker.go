@@ -26,23 +26,47 @@ import (
 //
 // Trackers are not safe for concurrent use; analyses shard one tracker per
 // customer (or reuse one tracker per worker via Reset).
+//
+// A Tracker is a Scorer (the model state) plus a State (the customer's
+// state), each tracker owning its own Scorer. A caller that tracks many
+// customers on one goroutine can instead keep one Scorer and a State per
+// customer, as stream.Monitor does; results are bit-identical.
 type Tracker struct {
-	opts   Options
-	logA   float64
-	items  []retail.ItemID // ascending item id: the canonical iteration order
-	counts []int32         // counts[i] = c of items[i]; counts only grow
-	// sig is the grow-only memo of α^{−2d} terms, shared across trackers
+	sc Scorer
+	st State
+}
+
+// Scorer is the model state that windows are scored with: the options, ln α,
+// the significance table and its cached snapshot. It holds nothing about any
+// customer, so one Scorer serves any number of States. It is mutable — a
+// deficit past the cached snapshot refreshes the cache — so it must never be
+// shared across goroutines: share it only among States driven by one
+// goroutine.
+type Scorer struct {
+	opts Options
+	logA float64
+	// sig is the grow-only memo of α^{−2d} terms, shared across scorers
 	// with the same α. terms caches its latest immutable snapshot so the
 	// per-item hot path is one bounds check and a load with no atomics;
-	// misses refresh the cache through the table. Both survive Reset.
-	sig      *SigTable
-	terms    []float64
-	maxCount int32 // running max of counts; counts only grow, so never recomputed
-	windows  int32 // W: counted prior windows
-	started  bool  // a non-empty window has been counted
-	seq      int   // observations so far (including uncounted leading ones)
+	// misses refresh the cache through the table.
+	sig   *SigTable
+	terms []float64
+}
+
+// State is one customer's tracker state, without the model: the repertoire
+// columns and the series bookkeeping. The zero State is an empty tracker.
+// Every method that scores or serializes takes the Scorer (or its Options)
+// the State is driven with; a State must always be driven with the same
+// options.
+type State struct {
+	items    []retail.ItemID // ascending item id: the canonical iteration order
+	counts   []int32         // counts[i] = c of items[i]; counts only grow
+	maxCount int32           // running max of counts; counts only grow, so never recomputed
+	windows  int32           // W: counted prior windows
+	seq      int             // observations so far (including uncounted leading ones)
 
 	prevStability float64
+	started       bool // a non-empty window has been counted
 	prevDefined   bool
 }
 
@@ -110,7 +134,21 @@ func NewTrackerWithSigTable(opts Options, sig *SigTable) (*Tracker, error) {
 }
 
 func newTracker(opts Options, sig *SigTable) *Tracker {
-	return &Tracker{
+	return &Tracker{sc: newScorer(opts, sig)}
+}
+
+// NewScorer validates opts and returns a scorer backed by the process-wide
+// shared significance table for opts.Alpha.
+func NewScorer(opts Options) (*Scorer, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	sc := newScorer(opts, SharedSigTable(opts.Alpha))
+	return &sc, nil
+}
+
+func newScorer(opts Options, sig *SigTable) Scorer {
+	return Scorer{
 		opts:  opts,
 		logA:  math.Log(opts.Alpha),
 		sig:   sig,
@@ -119,22 +157,25 @@ func newTracker(opts Options, sig *SigTable) *Tracker {
 }
 
 // Options returns the tracker's configuration.
-func (t *Tracker) Options() Options { return t.opts }
+func (t *Tracker) Options() Options { return t.sc.opts }
 
 // Seen returns the number of distinct items observed so far.
-func (t *Tracker) Seen() int { return len(t.items) }
+func (t *Tracker) Seen() int { return len(t.st.items) }
 
 // Windows returns W, the number of counted windows so far.
-func (t *Tracker) Windows() int { return int(t.windows) }
+func (t *Tracker) Windows() int { return t.st.Windows() }
+
+// Windows returns W, the number of counted windows so far.
+func (s *State) Windows() int { return int(s.windows) }
 
 // term returns α^{2(c−maxC)} for the count deficit d = maxC−c ≥ 0. The
 // common case is one bounds check and a load from the cached snapshot;
 // termSlow grows the shared table.
-func (t *Tracker) term(d int32) float64 {
-	if int(d) < len(t.terms) {
-		return t.terms[d]
+func (sc *Scorer) term(d int32) float64 {
+	if int(d) < len(sc.terms) {
+		return sc.terms[d]
 	}
-	return t.termSlow(d)
+	return sc.termSlow(d)
 }
 
 // termSlow resolves a deficit past the cached snapshot. Deficits at or
@@ -144,12 +185,12 @@ func (t *Tracker) term(d int32) float64 {
 // replaced the math.Exp calls that dominated BenchmarkTrackerObserve).
 // Otherwise the shared table grows (or computes directly past its cap) and
 // the cache is refreshed so subsequent windows stay on the fast path.
-func (t *Tracker) termSlow(d int32) float64 {
-	if d >= t.sig.zeroFrom {
+func (sc *Scorer) termSlow(d int32) float64 {
+	if d >= sc.sig.zeroFrom {
 		return 0
 	}
-	v := t.sig.Term(d)
-	t.terms = t.sig.snapshot()
+	v := sc.sig.Term(d)
+	sc.terms = sc.sig.snapshot()
 	return v
 }
 
@@ -159,7 +200,7 @@ func (t *Tracker) termSlow(d int32) float64 {
 // folded into the counts. Every window is explained, with Missing capped at
 // Options.MaxBlame.
 func (t *Tracker) Observe(items retail.Basket) Result {
-	return t.observe(items, 0, explainAlways)
+	return t.st.ObserveIf(&t.sc, items, 0, explainAlways)
 }
 
 // ObserveStability is Observe without building blame and new-item lists —
@@ -167,7 +208,7 @@ func (t *Tracker) Observe(items retail.Basket) Result {
 // and NewItems, and the steady state (no first-seen items in the window)
 // performs no allocations.
 func (t *Tracker) ObserveStability(items retail.Basket) Result {
-	return t.observe(items, 0, nil)
+	return t.st.ObserveIf(&t.sc, items, 0, nil)
 }
 
 // ObserveIf is Observe that explains only the windows the caller asks
@@ -182,84 +223,101 @@ func (t *Tracker) ObserveStability(items retail.Basket) Result {
 // must not feed it windows. A window it declines costs no allocation beyond
 // what ObserveStability makes.
 func (t *Tracker) ObserveIf(items retail.Basket, j int, explain func(Result) bool) Result {
-	return t.observe(items, j, explain)
+	return t.st.ObserveIf(&t.sc, items, j, explain)
 }
 
 func explainAlways(Result) bool { return true }
 
-// observe is the one window step: score against the prior state, ask
-// explain (nil: never) whether to build the lists, build them, then fold.
-func (t *Tracker) observe(items retail.Basket, topJ int, explain func(Result) bool) Result {
-	res := Result{Seq: t.seq}
-	t.seq++
+// ObserveIf is Tracker.ObserveIf on this state, scored with sc: the one
+// window step. It scores against the prior state, asks explain (nil: never)
+// whether to build the lists, builds them, then folds.
+func (s *State) ObserveIf(sc *Scorer, items retail.Basket, topJ int, explain func(Result) bool) Result {
+	res := Result{Seq: s.seq}
+	s.seq++
 
 	skipCount := false
-	if !t.started {
-		if len(items) == 0 && t.opts.Policy == CountFromFirstSeen {
+	if !s.started {
+		if len(items) == 0 && sc.opts.Policy == CountFromFirstSeen {
 			skipCount = true
 		} else {
-			t.started = true
+			s.started = true
 		}
 	}
 
-	// Stability against prior state. Exponent of item p is 2c−W; shift by
-	// the maximum exponent so the largest term is exactly 1. Iterating in
-	// canonical (ascending item) order — never Go's randomized map order —
-	// keeps the non-associative float sums bit-identical across runs,
-	// restores and worker counts. The repertoire and the basket are both
-	// sorted, so membership is a sorted merge, not a lookup per item.
-	maxC := t.maxCount
-	var num, den float64
-	hits := 0 // repertoire items present in the window
-	if len(t.items) > 0 {
-		j := 0
-		for i, p := range t.items {
-			term := t.term(maxC - t.counts[i])
-			den += term
-			for j < len(items) && items[j] < p {
-				j++ // basket item not in the repertoire: first purchase, S=0
-			}
-			if j < len(items) && items[j] == p {
-				num += term
-				hits++
-				j++
-			}
-		}
-		if den > 0 {
-			res.Defined = true
-			res.Stability = num / den
-			if res.Stability > 1 {
-				res.Stability = 1 // guard against rounding
-			}
+	maxC := s.maxCount
+	num, den, hits := s.scan(sc, items)
+	if den > 0 {
+		res.Defined = true
+		res.Stability = num / den
+		if res.Stability > 1 {
+			res.Stability = 1 // guard against rounding
 		}
 	}
 	if !res.Defined {
 		res.Stability = 1 // convention: no history means trivially stable
 	}
-	if t.prevDefined && res.Defined && res.Stability < t.prevStability {
-		res.Drop = t.prevStability - res.Stability
+	if s.prevDefined && res.Defined && res.Stability < s.prevStability {
+		res.Drop = s.prevStability - res.Stability
 	}
-	t.prevStability, t.prevDefined = res.Stability, res.Defined
+	s.prevStability, s.prevDefined = res.Stability, res.Defined
 	// A leading empty window under CountFromFirstSeen records nothing.
 	res.Counted = !skipCount
 
 	if explain != nil && explain(res) {
 		if res.Defined {
-			res.Missing = t.blame(items, maxC, den, len(t.items)-hits, t.blameCap(topJ))
+			res.Missing = s.blame(sc, items, maxC, den, len(s.items)-hits, sc.blameCap(topJ))
 		}
-		res.NewItems = t.newItems(items)
+		res.NewItems = s.newItems(items)
 	}
 	if res.Counted {
-		t.windows++
-		t.fold(items)
+		s.windows++
+		s.fold(items)
 	}
 	return res
 }
 
+// scan scores the basket against the prior state. Exponent of item p is
+// 2c−W; shift by the maximum exponent so the largest term is exactly 1: den
+// sums every repertoire item's term, num the terms of the items the basket
+// holds, and hits counts those. Iterating in canonical (ascending item)
+// order — never Go's randomized map order — keeps the non-associative float
+// sums bit-identical across runs, restores and worker counts. The
+// repertoire and the basket are both sorted, so membership is a sorted
+// merge, not a lookup per item. The scan is a function of its own, with the
+// terms snapshot and the table's underflow boundary in locals, so that its
+// loop keeps every value in a register and reading the snapshot through a
+// shared Scorer adds no dependent load per item. An item lapsed past the
+// boundary costs no call: its term is exactly +0, as termSlow would return.
+func (s *State) scan(sc *Scorer, items retail.Basket) (num, den float64, hits int) {
+	maxC := s.maxCount
+	terms, zeroFrom := sc.terms, sc.sig.zeroFrom
+	counts := s.counts[:len(s.items)]
+	j := 0
+	for i, p := range s.items {
+		var term float64
+		if d := maxC - counts[i]; int(d) < len(terms) {
+			term = terms[d]
+		} else if d < zeroFrom {
+			term = sc.termSlow(d)
+			terms = sc.terms
+		}
+		den += term
+		for j < len(items) && items[j] < p {
+			j++ // basket item not in the repertoire: first purchase, S=0
+		}
+		if j < len(items) && items[j] == p {
+			num += term
+			hits++
+			j++
+		}
+	}
+	return num, den, hits
+}
+
 // blameCap is the number of blame entries a window keeps: the smaller of
 // topJ and MaxBlame, counting only the ones that are set (0 = no cap).
-func (t *Tracker) blameCap(topJ int) int {
-	if m := t.opts.MaxBlame; m > 0 && (topJ <= 0 || m < topJ) {
+func (sc *Scorer) blameCap(topJ int) int {
+	if m := sc.opts.MaxBlame; m > 0 && (topJ <= 0 || m < topJ) {
 		return m
 	}
 	return max(topJ, 0)
@@ -267,14 +325,14 @@ func (t *Tracker) blameCap(topJ int) int {
 
 // newItems lists the basket items absent from the repertoire, in basket
 // (ascending) order. nil when every item has been seen before.
-func (t *Tracker) newItems(items retail.Basket) []retail.ItemID {
+func (s *State) newItems(items retail.Basket) []retail.ItemID {
 	var out []retail.ItemID
 	i := 0
 	for _, p := range items {
-		for i < len(t.items) && t.items[i] < p {
+		for i < len(s.items) && s.items[i] < p {
 			i++
 		}
-		if i == len(t.items) || t.items[i] != p {
+		if i == len(s.items) || s.items[i] != p {
 			out = append(out, p)
 		}
 	}
@@ -286,21 +344,21 @@ func (t *Tracker) newItems(items retail.Basket) []retail.ItemID {
 // backward merge that preserves the canonical ascending order, and the
 // max-count watermark is maintained. The no-new-items steady state touches
 // only the count column and allocates nothing.
-func (t *Tracker) fold(items retail.Basket) {
+func (s *State) fold(items retail.Basket) {
 	if len(items) == 0 {
 		return
 	}
 	newN := 0
 	i := 0
 	for _, p := range items {
-		for i < len(t.items) && t.items[i] < p {
+		for i < len(s.items) && s.items[i] < p {
 			i++
 		}
-		if i < len(t.items) && t.items[i] == p {
-			c := t.counts[i] + 1
-			t.counts[i] = c
-			if c > t.maxCount {
-				t.maxCount = c
+		if i < len(s.items) && s.items[i] == p {
+			c := s.counts[i] + 1
+			s.counts[i] = c
+			if c > s.maxCount {
+				s.maxCount = c
 			}
 			i++
 		} else {
@@ -310,34 +368,51 @@ func (t *Tracker) fold(items retail.Basket) {
 	if newN == 0 {
 		return
 	}
-	if t.maxCount < 1 {
-		t.maxCount = 1 // first-seen items enter with c=1
+	if s.maxCount < 1 {
+		s.maxCount = 1 // first-seen items enter with c=1
 	}
-	oldN := len(t.items)
-	t.items = slices.Grow(t.items, newN)[:oldN+newN]
-	t.counts = slices.Grow(t.counts, newN)[:oldN+newN]
+	oldN := len(s.items)
+	s.items = growColumn(s.items, oldN+newN)
+	s.counts = growColumn(s.counts, oldN+newN)
 	// Merge from the back so every element moves at most once.
 	w := oldN + newN - 1
 	i = oldN - 1
 	j := len(items) - 1
 	for j >= 0 {
 		switch {
-		case i >= 0 && t.items[i] > items[j]:
-			t.items[w] = t.items[i]
-			t.counts[w] = t.counts[i]
+		case i >= 0 && s.items[i] > items[j]:
+			s.items[w] = s.items[i]
+			s.counts[w] = s.counts[i]
 			i--
-		case i >= 0 && t.items[i] == items[j]:
-			t.items[w] = t.items[i]
-			t.counts[w] = t.counts[i] // already bumped in the first pass
+		case i >= 0 && s.items[i] == items[j]:
+			s.items[w] = s.items[i]
+			s.counts[w] = s.counts[i] // already bumped in the first pass
 			i--
 			j--
 		default:
-			t.items[w] = items[j]
-			t.counts[w] = 1
+			s.items[w] = items[j]
+			s.counts[w] = 1
 			j--
 		}
 		w--
 	}
+}
+
+// growColumn returns col resliced to length n. Only when its capacity runs
+// out does it reallocate, to n plus n/8 headroom, rounded up to the
+// allocator's size class (bytes the allocation holds anyway). Doubling
+// would leave a grown column up to half empty for the life of the customer;
+// the headroom keeps a repertoire that grows item by item from reallocating
+// at every first purchase.
+func growColumn[E retail.ItemID | int32](col []E, n int) []E {
+	if n <= cap(col) {
+		return col[:n]
+	}
+	// Appending to a nil slice sizes the array to the request rounded up
+	// to its size class, not to twice an old capacity.
+	grown := append([]E(nil), make([]E, n+n/8)...)
+	copy(grown, col)
+	return grown[:n]
 }
 
 // blame lists the window's missing items — the n repertoire items absent
@@ -349,14 +424,14 @@ func (t *Tracker) fold(items retail.Basket) {
 // one on Net ranks after it, and only a strictly larger Net displaces it.
 // The result's capacity is its length: a caller that keeps it holds no
 // scan-sized array.
-func (t *Tracker) blame(items retail.Basket, maxC int32, den float64, n, limit int) []Blame {
+func (s *State) blame(sc *Scorer, items retail.Basket, maxC int32, den float64, n, limit int) []Blame {
 	selecting := limit > 0 && limit < n
 	if !selecting {
 		limit = n
 	}
 	out := make([]Blame, 0, limit)
 	j := 0
-	for i, p := range t.items {
+	for i, p := range s.items {
 		for j < len(items) && items[j] < p {
 			j++
 		}
@@ -364,16 +439,16 @@ func (t *Tracker) blame(items retail.Basket, maxC int32, den float64, n, limit i
 			j++
 			continue
 		}
-		c := t.counts[i]
-		net := int(2*c - t.windows)
+		c := s.counts[i]
+		net := int(2*c - s.windows)
 		if selecting && len(out) == limit && net <= out[limit-1].Net {
 			continue
 		}
 		b := Blame{
 			Item:            p,
 			Net:             net,
-			LogSignificance: float64(net) * t.logA,
-			Share:           t.term(maxC-c) / den,
+			LogSignificance: float64(net) * sc.logA,
+			Share:           sc.term(maxC-c) / den,
 		}
 		if !selecting {
 			out = append(out, b)
@@ -402,9 +477,9 @@ func (t *Tracker) blame(items retail.Basket, maxC int32, den float64, n, limit i
 
 // find returns the column index of item p, or ok=false when p has never
 // been bought.
-func (t *Tracker) find(p retail.ItemID) (int, bool) {
-	i := sort.Search(len(t.items), func(i int) bool { return t.items[i] >= p })
-	if i < len(t.items) && t.items[i] == p {
+func (s *State) find(p retail.ItemID) (int, bool) {
+	i := sort.Search(len(s.items), func(i int) bool { return s.items[i] >= p })
+	if i < len(s.items) && s.items[i] == p {
 		return i, true
 	}
 	return i, false
@@ -415,23 +490,19 @@ func (t *Tracker) find(p retail.ItemID) (int, bool) {
 // state after the last Observe — i.e. the S(p, k+1) numerator exponent for
 // the next window.
 func (t *Tracker) SignificanceOf(p retail.ItemID) (net int, seen bool) {
-	i, ok := t.find(p)
+	i, ok := t.st.find(p)
 	if !ok {
 		return 0, false
 	}
-	return int(2*t.counts[i] - t.windows), true
+	return int(2*t.st.counts[i] - t.st.windows), true
 }
 
 // Reset returns the tracker to its initial state, keeping options and
 // retaining the column and memo-table capacity so a worker can score many
 // customers with one tracker and no steady-state allocations.
-func (t *Tracker) Reset() {
-	t.items = t.items[:0]
-	t.counts = t.counts[:0]
-	t.maxCount = 0
-	t.windows = 0
-	t.started = false
-	t.seq = 0
-	t.prevStability = 0
-	t.prevDefined = false
+func (t *Tracker) Reset() { t.st.reset() }
+
+// reset empties the state, retaining its column capacity.
+func (s *State) reset() {
+	*s = State{items: s.items[:0], counts: s.counts[:0]}
 }

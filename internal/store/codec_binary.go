@@ -440,6 +440,22 @@ func (d *decoder) fill() *Store {
 // first slot).
 func groupByCustomer(n int, id func(k int) retail.CustomerID, size func(k int) int) (ids []retail.CustomerID, bounds, at []int) {
 	at = make([]int, n)
+	if ascendingIDs(n, id) {
+		// Already grouped and in order, as every segment this package
+		// writes is: the layout is the arrival order itself.
+		ids = make([]retail.CustomerID, 0, n)
+		bounds = make([]int, 0, n+1)
+		slot := 0
+		for k := range at {
+			if len(ids) == 0 || id(k) != ids[len(ids)-1] {
+				ids = append(ids, id(k))
+				bounds = append(bounds, slot)
+			}
+			at[k] = slot
+			slot += size(k)
+		}
+		return ids, append(bounds, slot), at
+	}
 	// Number the customers in arrival order, total their sizes, then rank
 	// them by id.
 	group := make(map[retail.CustomerID]int)
@@ -473,4 +489,14 @@ func groupByCustomer(n int, id func(k int) retail.CustomerID, size func(k int) i
 		next[g] += size(k)
 	}
 	return sorted, bounds, at
+}
+
+// ascendingIDs reports whether the n entries' customer ids never decrease.
+func ascendingIDs(n int, id func(k int) retail.CustomerID) bool {
+	for k := 1; k < n; k++ {
+		if id(k) < id(k-1) {
+			return false
+		}
+	}
+	return true
 }

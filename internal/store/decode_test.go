@@ -225,3 +225,52 @@ func TestWriteBinaryMatchesReferenceEncoder(t *testing.T) {
 		t.Fatal("WriteReceipts differs from Builder bytes of the same receipts")
 	}
 }
+
+// TestGroupByCustomerLayout checks both layouts groupByCustomer can take —
+// arrival order for ids that never decrease, the grouping map otherwise —
+// against a stable sort of the entries by customer id.
+func TestGroupByCustomerLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(40)
+		ids := make([]retail.CustomerID, n)
+		sizes := make([]int, n)
+		for k := range ids {
+			ids[k] = retail.CustomerID(r.Intn(12) + 1)
+			sizes[k] = r.Intn(4)
+		}
+		if trial%2 == 0 {
+			slices.Sort(ids) // repeated ids stay adjacent
+		}
+		gotIDs, bounds, at := groupByCustomer(n,
+			func(k int) retail.CustomerID { return ids[k] },
+			func(k int) int { return sizes[k] })
+
+		order := make([]int, n)
+		for k := range order {
+			order[k] = k
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return int(ids[a]) - int(ids[b]) })
+		var wantIDs []retail.CustomerID
+		wantBounds := []int{0}
+		wantAt := make([]int, n)
+		slot := 0
+		for _, k := range order {
+			if len(wantIDs) == 0 || ids[k] != wantIDs[len(wantIDs)-1] {
+				if len(wantIDs) > 0 {
+					wantBounds = append(wantBounds, slot)
+				}
+				wantIDs = append(wantIDs, ids[k])
+			}
+			wantAt[k] = slot
+			slot += sizes[k]
+		}
+		if len(wantIDs) > 0 {
+			wantBounds = append(wantBounds, slot)
+		}
+		if !slices.Equal(gotIDs, wantIDs) || !slices.Equal(bounds, wantBounds) || !slices.Equal(at, wantAt) {
+			t.Fatalf("trial %d ids %v sizes %v:\ngot  %v %v %v\nwant %v %v %v",
+				trial, ids, sizes, gotIDs, bounds, at, wantIDs, wantBounds, wantAt)
+		}
+	}
+}

@@ -381,13 +381,8 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	mon, restored, err := openIngestorMonitor(cfg)
-	if err != nil {
-		return nil, err
-	}
 	i := &Ingestor{
 		cfg:          cfg,
-		mon:          mon,
 		queue:        make(chan []ReceiptEvent, cfg.QueueBatches),
 		stop:         make(chan struct{}),
 		pauseReq:     make(chan chan struct{}),
@@ -399,13 +394,14 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 		nextSeq:      1,
 		changed:      make(chan struct{}),
 	}
+	restored, err := i.openMonitor()
+	if err != nil {
+		return nil, err
+	}
 	if cfg.FollowPath != "" {
 		i.follower = store.NewFollower(cfg.FS, cfg.FollowPath)
 	}
 	if restored {
-		if k, ok := mon.Watermark(); ok {
-			i.lastClosedK = k - 1
-		}
 		if cfg.FollowPath == "" {
 			// The restore barrier: the snapshot may have been taken under a
 			// longer (or no) horizon, and closing through the restored
@@ -413,9 +409,8 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 			// feed traffic. Every open window lies past lastClosedK, so the
 			// barrier scores none of them.
 			i.closeBarrier(i.lastClosedK)
-		} else if err := i.replayFollowed(); err != nil {
-			mon.Close()
-			return nil, err
+		} else {
+			i.rewindFollow()
 		}
 	}
 	if cfg.JournalPath != "" {
@@ -439,25 +434,43 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 	return i, nil
 }
 
-// openIngestorMonitor restores the monitor from cfg.StatePath when the
-// file exists, else starts fresh.
-func openIngestorMonitor(cfg IngestorConfig) (mon *ShardedMonitor, restored bool, err error) {
+// openMonitor starts the monitor, restoring it from cfg.StatePath when the
+// file exists, and puts lastClosedK just below the restored watermark. A
+// follow-mode restart replays the followed file into a fresh monitor (see
+// rewindFollow), so there every customer of the state is decoded and
+// checked as a restore checks it, but only the watermark is kept.
+func (i *Ingestor) openMonitor() (restored bool, err error) {
+	cfg := i.cfg
 	if cfg.StatePath != "" {
 		f, err := cfg.FS.Open(cfg.StatePath)
 		switch {
 		case err == nil:
 			defer f.Close()
-			mon, err := ReadShardedMonitorSnapshot(f, cfg.Monitor, cfg.Shards)
-			if err != nil {
-				return nil, false, fmt.Errorf("stream: restore %s: %w", cfg.StatePath, err)
+			k, ok := 0, false
+			if cfg.FollowPath == "" {
+				i.mon, err = ReadShardedMonitorSnapshot(f, cfg.Monitor, cfg.Shards)
+				if err == nil {
+					k, ok = i.mon.Watermark()
+				}
+			} else {
+				k, ok, err = readSnapshotWatermark(f, cfg.Monitor)
+				if err == nil {
+					i.mon, err = NewSharded(cfg.Monitor, cfg.Shards)
+				}
 			}
-			return mon, true, nil
+			if err != nil {
+				return false, fmt.Errorf("stream: restore %s: %w", cfg.StatePath, err)
+			}
+			if ok {
+				i.lastClosedK = k - 1
+			}
+			return true, nil
 		case !errors.Is(err, iofs.ErrNotExist):
-			return nil, false, err
+			return false, err
 		}
 	}
-	mon, err = NewSharded(cfg.Monitor, cfg.Shards)
-	return mon, false, err
+	i.mon, err = NewSharded(cfg.Monitor, cfg.Shards)
+	return false, err
 }
 
 // Enqueue offers one batch for ingestion. The batch is accepted (queued,

@@ -393,24 +393,16 @@ func (i *Ingestor) processFollowBatch(s *store.Store) {
 }
 
 // replayFollowed rewinds the pipeline to replay the followed file from byte
-// zero, on a restart with restored state (before the drainer starts) and
-// on a resync after the file shrank. The watermark proves which windows an
-// earlier monitor already closed and published, so suppressK drops the
-// replay's alerts for them; a fresh monitor replaces the current one under
-// the swap lock (carrying its eviction count forward), and the follower
-// restarts at offset zero. The delivered alert sequence and the SMN1 state
-// stay byte-identical to a sequential replay of the file. (Replaying the
-// file beats resuming from a restored snapshot: one taken mid-month holds
-// pending partial baskets that the file would re-deliver, and
-// double-counting them would corrupt scores.)
+// zero after the file shrank: a fresh monitor replaces the current one
+// under the swap lock (carrying its eviction count forward), and
+// rewindFollow restarts the follower. The delivered alert sequence and the
+// SMN1 state stay byte-identical to a sequential replay of the file.
 func (i *Ingestor) replayFollowed() error {
 	fresh, err := NewSharded(i.cfg.Monitor, i.cfg.Shards)
 	if err != nil {
 		return err
 	}
-	if i.lastClosedK > i.suppressK {
-		i.suppressK = i.lastClosedK
-	}
+	i.rewindFollow()
 	i.monMu.Lock()
 	old := i.mon
 	i.evictedBase += old.Evicted()
@@ -418,8 +410,21 @@ func (i *Ingestor) replayFollowed() error {
 	alerts, _ := old.Close()
 	i.monMu.Unlock()
 	i.publish(alerts)
+	return nil
+}
+
+// rewindFollow restarts the follower at offset zero, on a resync and on a
+// restart with restored state (before the drainer starts). The watermark
+// proves which windows an earlier monitor already closed and published, so
+// suppressK drops the replay's alerts for them. (Replaying the file beats
+// resuming from a restored snapshot: one taken mid-month holds pending
+// partial baskets that the file would re-deliver, and double-counting them
+// would corrupt scores.)
+func (i *Ingestor) rewindFollow() {
+	if i.lastClosedK > i.suppressK {
+		i.suppressK = i.lastClosedK
+	}
 	i.follower = store.NewFollower(i.cfg.FS, i.cfg.FollowPath)
 	i.maxMonth = math.MinInt / 2
 	i.lastClosedK = -1
-	return nil
 }

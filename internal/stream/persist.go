@@ -38,7 +38,7 @@ var monitorMagic = [4]byte{'S', 'M', 'N', '1'}
 
 // WriteSnapshot persists every tracked customer's state.
 func (m *Monitor) WriteSnapshot(w io.Writer) error {
-	return writeStates(w, m.cfg.Grid, []map[retail.CustomerID]*custState{m.states})
+	return writeStates(w, m.cfg, []map[retail.CustomerID]*custState{m.states})
 }
 
 // snapshotWriter streams the SMN1 encoding state by state: the header is
@@ -84,8 +84,8 @@ func newSnapshotWriter(w io.Writer, grid window.Grid, customers int) (*snapshotW
 }
 
 // writeState encodes one customer's state, including the embedded tracker
-// snapshot.
-func (sw *snapshotWriter) writeState(id retail.CustomerID, st *custState) error {
+// snapshot; model is the monitor's tracker options.
+func (sw *snapshotWriter) writeState(id retail.CustomerID, st *custState, model core.Options) error {
 	if err := sw.putU(uint64(id)); err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func (sw *snapshotWriter) writeState(id retail.CustomerID, st *custState) error 
 	if err := sw.bw.Flush(); err != nil {
 		return err
 	}
-	if err := st.tracker.WriteSnapshot(sw.w); err != nil {
+	if err := st.tracker.WriteSnapshot(model, sw.w); err != nil {
 		return fmt.Errorf("stream: customer %d tracker: %w", id, err)
 	}
 	return nil
@@ -150,14 +150,14 @@ func sortedStateIDs(states map[retail.CustomerID]*custState) []retail.CustomerID
 // writer, with no merged intermediate map. The partition is disjoint, so
 // the merged walk is the global ascending id order: the bytes depend only
 // on the logical state, never on the shard count or monitor flavor.
-func writeStates(w io.Writer, grid window.Grid, shardStates []map[retail.CustomerID]*custState) error {
+func writeStates(w io.Writer, cfg Config, shardStates []map[retail.CustomerID]*custState) error {
 	total := 0
 	heads := make([][]retail.CustomerID, len(shardStates))
 	for i, states := range shardStates {
 		total += len(states)
 		heads[i] = sortedStateIDs(states)
 	}
-	sw, err := newSnapshotWriter(w, grid, total)
+	sw, err := newSnapshotWriter(w, cfg.Grid, total)
 	if err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func writeStates(w io.Writer, grid window.Grid, shardStates []map[retail.Custome
 		}
 		id := heads[best][0]
 		heads[best] = heads[best][1:]
-		if err := sw.writeState(id, shardStates[best][id]); err != nil {
+		if err := sw.writeState(id, shardStates[best][id], cfg.Model); err != nil {
 			return err
 		}
 	}
@@ -190,76 +190,95 @@ func writeStates(w io.Writer, grid window.Grid, shardStates []map[retail.Custome
 // warm-up, hooks); its grid must match the snapshot's grid, and its model
 // options are validated against each restored tracker's.
 func ReadMonitorSnapshot(r io.Reader, cfg Config) (*Monitor, error) {
-	states, err := readMonitorStates(r, cfg)
-	if err != nil {
-		return nil, err
-	}
 	m, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	//detlint:ignore R1 addRestored is order-insensitive; the id index is sort-rebuilt at the next barrier
-	for id, st := range states {
-		m.addRestored(id, st)
+	err = readMonitorStates(r, cfg, func(id retail.CustomerID, st *custState) {
+		m.addRestored(id, st.take())
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// readMonitorStates decodes an SMN1 snapshot into a customer-state map,
-// validating cfg and every embedded tracker along the way.
-func readMonitorStates(r io.Reader, cfg Config) (map[retail.CustomerID]*custState, error) {
+// readSnapshotWatermark returns what ReadShardedMonitorSnapshot(r, cfg,
+// …).Watermark() returns, with the same errors, without building a monitor:
+// every customer decodes into one reused state, and only the lowest open
+// window is kept. A follow-mode restart needs nothing else from the state.
+func readSnapshotWatermark(r io.Reader, cfg Config) (k int, ok bool, err error) {
+	err = readMonitorStates(r, cfg, func(_ retail.CustomerID, st *custState) {
+		if !ok || st.openK < k {
+			k, ok = st.openK, true
+		}
+	})
+	if err != nil {
+		return 0, false, err
+	}
+	return k, ok, nil
+}
+
+// readMonitorStates decodes an SMN1 snapshot, validating cfg and every
+// embedded tracker along the way, and hands each customer to add as soon as
+// its state is complete. Customer ids must ascend strictly, as the writer
+// writes them. Every customer decodes into the same scratch state, reusing
+// its buffers: add must copy what it keeps, or take it.
+func readMonitorStates(r io.Reader, cfg Config, add func(retail.CustomerID, *custState)) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("stream: read magic: %w", err)
+		return fmt.Errorf("stream: read magic: %w", err)
 	}
 	if magic != monitorMagic {
-		return nil, fmt.Errorf("stream: bad magic %q (not a SMN1 snapshot)", magic[:])
+		return fmt.Errorf("stream: bad magic %q (not a SMN1 snapshot)", magic[:])
 	}
 	var f8 [8]byte
 	if _, err := io.ReadFull(br, f8[:]); err != nil {
-		return nil, fmt.Errorf("stream: read origin: %w", err)
+		return fmt.Errorf("stream: read origin: %w", err)
 	}
 	origin := int64(binary.LittleEndian.Uint64(f8[:]))
 	span, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("stream: read span: %w", err)
+		return fmt.Errorf("stream: read span: %w", err)
 	}
 	if cfg.Grid.Origin().Unix() != origin || uint64(cfg.Grid.Span().Months) != span {
-		return nil, fmt.Errorf("stream: snapshot grid (origin %d, span %dmo) does not match config grid (origin %d, span %dmo)",
+		return fmt.Errorf("stream: snapshot grid (origin %d, span %dmo) does not match config grid (origin %d, span %dmo)",
 			origin, span, cfg.Grid.Origin().Unix(), cfg.Grid.Span().Months)
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("stream: read customer count: %w", err)
+		return fmt.Errorf("stream: read customer count: %w", err)
 	}
 	const maxCustomers = 1 << 34
 	if count > maxCustomers {
-		return nil, fmt.Errorf("stream: implausible customer count %d", count)
+		return fmt.Errorf("stream: implausible customer count %d", count)
 	}
-	// The count is untrusted until that many states have been read: pre-size
-	// for plausible populations only and grow past them, so a corrupt header
-	// fails on its missing states instead of on a huge allocation.
-	states := make(map[retail.CustomerID]*custState, min(count, 1<<16))
+	var st custState
+	var prevID uint64
 	for i := uint64(0); i < count; i++ {
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("stream: read customer id: %w", err)
+			return fmt.Errorf("stream: read customer id: %w", err)
 		}
+		if i > 0 && id <= prevID {
+			return fmt.Errorf("stream: customer id %d follows %d (ids must ascend)", id, prevID)
+		}
+		prevID = id
 		openK, err := binary.ReadVarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("stream: read openK: %w", err)
+			return fmt.Errorf("stream: read openK: %w", err)
 		}
 		lastScoredK, err := binary.ReadVarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("stream: read lastScoredK: %w", err)
+			return fmt.Errorf("stream: read lastScoredK: %w", err)
 		}
 		flags, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("stream: read flags: %w", err)
+			return fmt.Errorf("stream: read flags: %w", err)
 		}
 		// Pre-retention snapshots lack lastActiveK; openK is the
 		// conservative restore (the customer gets a full horizon of grace
@@ -268,51 +287,56 @@ func readMonitorStates(r io.Reader, cfg Config) (map[retail.CustomerID]*custStat
 		if flags&4 != 0 {
 			lastActiveK, err = binary.ReadVarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("stream: read lastActiveK: %w", err)
+				return fmt.Errorf("stream: read lastActiveK: %w", err)
 			}
 		}
 		if _, err := io.ReadFull(br, f8[:]); err != nil {
-			return nil, fmt.Errorf("stream: read lastStability: %w", err)
+			return fmt.Errorf("stream: read lastStability: %w", err)
 		}
 		pendingCount, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("stream: read pending count: %w", err)
+			return fmt.Errorf("stream: read pending count: %w", err)
 		}
 		const maxItems = 1 << 20
 		if pendingCount > maxItems {
-			return nil, fmt.Errorf("stream: implausible pending size %d", pendingCount)
+			return fmt.Errorf("stream: implausible pending size %d", pendingCount)
 		}
-		pending := make(retail.Basket, pendingCount)
+		pending := st.pending[:0]
+		if uint64(cap(pending)) < pendingCount {
+			pending = make(retail.Basket, 0, pendingCount)
+		}
+		pending = pending[:pendingCount]
 		prev := uint64(0)
 		for j := range pending {
 			d, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("stream: read pending item: %w", err)
+				return fmt.Errorf("stream: read pending item: %w", err)
 			}
 			prev += d
 			if prev == 0 || prev > math.MaxUint32 {
-				return nil, fmt.Errorf("stream: pending item %d out of range", prev)
+				return fmt.Errorf("stream: pending item %d out of range", prev)
 			}
 			pending[j] = retail.ItemID(prev)
 		}
-		tracker, err := core.ReadTrackerSnapshot(br)
-		if err != nil {
-			return nil, fmt.Errorf("stream: customer %d tracker: %w", id, err)
-		}
-		if tracker.Options() != cfg.Model {
-			return nil, fmt.Errorf("stream: customer %d tracker options %+v do not match config %+v",
-				id, tracker.Options(), cfg.Model)
-		}
-		states[retail.CustomerID(id)] = &custState{
-			tracker:       tracker,
-			openK:         int(openK),
-			pending:       pending,
+		st = custState{
 			lastStability: math.Float64frombits(binary.LittleEndian.Uint64(f8[:])),
-			lastDefined:   flags&1 != 0,
 			lastScoredK:   int(lastScoredK),
 			scored:        flags&2 != 0,
+			lastDefined:   flags&1 != 0,
+			openK:         int(openK),
 			lastActiveK:   int(lastActiveK),
+			pending:       pending,
+			tracker:       st.tracker,
 		}
+		opts, err := st.tracker.ReadSnapshot(br)
+		if err != nil {
+			return fmt.Errorf("stream: customer %d tracker: %w", id, err)
+		}
+		if opts != cfg.Model {
+			return fmt.Errorf("stream: customer %d tracker options %+v do not match config %+v",
+				id, opts, cfg.Model)
+		}
+		add(retail.CustomerID(id), &st)
 	}
-	return states, nil
+	return nil
 }

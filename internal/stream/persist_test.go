@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -195,5 +196,119 @@ func TestReadMonitorSnapshotHugeCount(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 		t.Fatalf("reading a %d-byte header allocated %d MiB", len(header), alloc>>20)
+	}
+}
+
+// TestSnapshotWatermarkMatchesRestore: the follow-mode restart reads only a
+// state file's watermark. On random snapshots and on corrupt, truncated and
+// mismatched ones it must return what a full restore's Watermark returns,
+// and fail with the full restore's error.
+func TestSnapshotWatermarkMatchesRestore(t *testing.T) {
+	cfg := testConfig(t, 0.7)
+	check := func(name string, data []byte, cfg Config) error {
+		t.Helper()
+		k, ok, err := readSnapshotWatermark(bytes.NewReader(data), cfg)
+		s, rerr := ReadShardedMonitorSnapshot(bytes.NewReader(data), cfg, 3)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("%s: watermark read error %v, restore error %v", name, err, rerr)
+		}
+		if rerr != nil {
+			return rerr
+		}
+		wk, wok := s.Watermark()
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if k != wk || ok != wok {
+			t.Fatalf("%s: watermark read gives (%d, %v), restore gives (%d, %v)", name, k, ok, wk, wok)
+		}
+		return nil
+	}
+	snapshot := func(m *Monitor) []byte {
+		var buf bytes.Buffer
+		if err := m.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	empty, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("empty", snapshot(empty), cfg)
+	for seed := int64(1); seed <= 8; seed++ {
+		// Close through a random earlier window now and then, so customers
+		// hold different open windows when the snapshot is taken.
+		r := rand.New(rand.NewSource(seed))
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range randomFeed(t, seed, 4+int(seed), 150) {
+			k := cfg.Grid.Index(ev.t)
+			if r.Intn(20) == 0 {
+				m.CloseThrough(k - 1 - r.Intn(2))
+			}
+			if _, err := m.Ingest(ev.id, ev.t, ev.items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("seed %d", seed), snapshot(m), cfg)
+	}
+
+	snap := snapshotBytes(t)
+	for n := 0; n < len(snap); n++ {
+		if check(fmt.Sprintf("cut at %d", n), snap[:n], cfg) == nil {
+			t.Fatalf("cut at %d restored", n)
+		}
+		bad := append([]byte(nil), snap...)
+		bad[n] ^= 0x5a
+		check(fmt.Sprintf("byte %d flipped", n), bad, cfg)
+	}
+	check("bad magic", []byte("XXXXYYYY"), cfg)
+	g3, err := window.NewGrid(cfg.Grid.Origin(), window.Span{Months: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Grid = g3
+	if check("other grid", snap, other) == nil {
+		t.Fatal("mismatched grid restored")
+	}
+	other = cfg
+	other.Model = core.Options{Alpha: 3}
+	if check("other model", snap, other) == nil {
+		t.Fatal("mismatched model options restored")
+	}
+
+	// Ids written out of order: the writer never does this, and a repeated
+	// id would silently replace an earlier state.
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []retail.CustomerID{4, 9} {
+		if _, err := m.Ingest(id, at(cfg.Grid, 0, 1), retail.Basket{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ids := range [][]retail.CustomerID{{9, 4}, {4, 4}} {
+		var buf bytes.Buffer
+		sw, err := newSnapshotWriter(&buf, cfg.Grid, len(ids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if err := sw.writeState(id, m.states[id], cfg.Model); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if check(fmt.Sprintf("ids %v", ids), buf.Bytes(), cfg) == nil {
+			t.Fatalf("snapshot with ids %v restored", ids)
+		}
 	}
 }

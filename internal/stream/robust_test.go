@@ -109,11 +109,11 @@ func TestSnapshotPreRetentionCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	states, err := readMonitorStates(bytes.NewReader(buf.Bytes()), cfg)
+	m, err := ReadMonitorSnapshot(bytes.NewReader(buf.Bytes()), cfg)
 	if err != nil {
 		t.Fatalf("pre-retention snapshot failed to restore: %v", err)
 	}
-	st, ok := states[7]
+	st, ok := m.states[7]
 	if !ok {
 		t.Fatal("customer 7 missing after restore")
 	}

@@ -398,7 +398,7 @@ func (s *ShardedMonitor) Customers() int {
 // lost across a restart.
 func (s *ShardedMonitor) WriteSnapshot(w io.Writer) error {
 	if s.closed.Load() {
-		return writeStates(w, s.cfg.Grid, s.shardStates())
+		return writeStates(w, s.cfg, s.shardStates())
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -414,7 +414,7 @@ func (s *ShardedMonitor) WriteSnapshot(w io.Writer) error {
 	// All shard goroutines are parked on release: their states are
 	// quiescent and safe to read from here until release closes.
 	arrived.Wait()
-	err := writeStates(w, s.cfg.Grid, s.shardStates())
+	err := writeStates(w, s.cfg, s.shardStates())
 	close(release)
 	return err
 }
@@ -456,17 +456,17 @@ func (s *ShardedMonitor) Watermark() (k int, ok bool) {
 // count. cfg follows the ReadMonitorSnapshot contract; shards <= 0 means
 // GOMAXPROCS.
 func ReadShardedMonitorSnapshot(r io.Reader, cfg Config, shards int) (*ShardedMonitor, error) {
-	states, err := readMonitorStates(r, cfg)
-	if err != nil {
-		return nil, err
-	}
 	s, err := newSharded(cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	//detlint:ignore R1 addRestored is order-insensitive and shard assignment depends only on the id hash
-	for id, st := range states {
-		s.shards[shardIndex(id, len(s.shards))].mon.addRestored(id, st)
+	// The shard goroutines are not running yet, so the restore fills their
+	// monitors directly.
+	err = readMonitorStates(r, cfg, func(id retail.CustomerID, st *custState) {
+		s.shards[shardIndex(id, len(s.shards))].mon.addRestored(id, st.take())
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.start()
 	return s, nil

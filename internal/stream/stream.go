@@ -103,32 +103,50 @@ type Scored struct {
 // already been closed for its customer.
 var ErrStale = errors.New("stream: receipt for an already-closed window")
 
+// custState is one tracked customer. A stability query reads lastStability,
+// lastScoredK and scored, so they lead the struct side by side instead of
+// sitting behind the tracker's 80 bytes.
 type custState struct {
-	tracker *core.Tracker
-	openK   int // grid index of the open (accumulating) window
-	// pending accumulates the open window's item set; scratch is the spare
-	// buffer UnionInto merges into, swapped with pending on every receipt
-	// so the steady state reuses two buffers instead of allocating a merged
-	// basket per receipt.
-	pending retail.Basket
-	scratch retail.Basket
 	// lastStability/lastDefined feed Alert.Drop; scored reports whether
 	// any window has been scored yet.
 	lastStability float64
-	lastDefined   bool
 	lastScoredK   int
 	scored        bool
+	lastDefined   bool
+	openK         int // grid index of the open (accumulating) window
 	// lastActiveK is the window of the customer's newest receipt; the
 	// retention horizon measures silence from here.
 	lastActiveK int
+	// pending accumulates the open window's item set. It keeps its capacity
+	// across windows; Ingest unions into the monitor's spare basket and
+	// swaps the two, so buffers move between customers.
+	pending retail.Basket
+	// tracker is the customer's model state, scored with the monitor's
+	// shared Scorer.
+	tracker core.State
+}
+
+// take moves st into a new heap state and leaves st empty, so the next
+// snapshot customer decoded into st allocates buffers of its own.
+func (st *custState) take() *custState {
+	moved := new(custState)
+	*moved, *st = *st, custState{}
+	return moved
 }
 
 // Monitor ingests receipts and emits alerts. Not safe for concurrent use;
 // ShardedMonitor wraps it with hash-partitioned parallel ingestion for
 // multi-core feeds.
 type Monitor struct {
-	cfg    Config
+	cfg Config
+	// scorer is the model state every customer's tracker scores with: held
+	// once per monitor, never shared with another monitor or goroutine.
+	scorer core.Scorer
 	states map[retail.CustomerID]*custState
+	// spare is the basket Ingest unions a customer's pending items and the
+	// receipt into before swapping it with their pending buffer, so the
+	// steady state allocates no merged basket per receipt.
+	spare retail.Basket
 	// ids is the sorted customer index CloseThrough iterates; newIDs
 	// buffers customers first seen since the last merge. Folding the
 	// (small) new batch in with one sort + one linear merge keeps barriers
@@ -148,7 +166,11 @@ func New(cfg Config) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Monitor{cfg: cfg, states: make(map[retail.CustomerID]*custState)}, nil
+	scorer, err := core.NewScorer(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	return &Monitor{cfg: cfg, scorer: *scorer, states: make(map[retail.CustomerID]*custState)}, nil
 }
 
 // OnScored registers a hook receiving every closed window in scoring
@@ -171,11 +193,7 @@ func (m *Monitor) Ingest(id retail.CustomerID, t time.Time, items retail.Basket)
 	k := m.cfg.Grid.Index(t)
 	st, ok := m.states[id]
 	if !ok {
-		tr, err := core.NewTracker(m.cfg.Model)
-		if err != nil {
-			return nil, err
-		}
-		st = &custState{tracker: tr, openK: k, lastScoredK: k - 1, lastActiveK: k}
+		st = &custState{openK: k, lastScoredK: k - 1, lastActiveK: k}
 		m.states[id] = st
 		m.newIDs = append(m.newIDs, id)
 	}
@@ -189,21 +207,17 @@ func (m *Monitor) Ingest(id retail.CustomerID, t time.Time, items retail.Basket)
 		// done) and start a fresh one — a returning churned customer is a
 		// new relationship, bit-identical to a barrier having evicted them.
 		alerts = m.closeThrough(id, st, k-1) // clamps at limit
-		tr, err := core.NewTracker(m.cfg.Model)
-		if err != nil {
-			return nil, err
-		}
 		m.evicted++
 		// Reuse the pointer: the id stays valid in the sorted index.
-		*st = custState{tracker: tr, openK: k, lastScoredK: k - 1, lastActiveK: k}
+		*st = custState{openK: k, lastScoredK: k - 1, lastActiveK: k}
 	} else if k > st.openK {
 		alerts = m.closeThrough(id, st, k-1)
 	}
 	if k > st.lastActiveK {
 		st.lastActiveK = k
 	}
-	st.scratch = retail.UnionInto(st.scratch, st.pending, items)
-	st.pending, st.scratch = st.scratch, st.pending
+	m.spare = retail.UnionInto(m.spare, st.pending, items)
+	st.pending, m.spare = m.spare, st.pending
 	return alerts, nil
 }
 
@@ -240,7 +254,7 @@ func (m *Monitor) closeThrough(id retail.CustomerID, st *custState, k int) []Ale
 	var alerts []Alert
 	for st.openK <= k {
 		alert := false
-		res := st.tracker.ObserveIf(st.pending, j, func(r core.Result) bool {
+		res := st.tracker.ObserveIf(&m.scorer, st.pending, j, func(r core.Result) bool {
 			alert = m.alerting(st, r)
 			return alert || hooked
 		})
