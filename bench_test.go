@@ -384,15 +384,10 @@ func heapProbeFeed(tb testing.TB, customers int) (stream.Config, []heapProbeEven
 	return cfg, feed
 }
 
-// monitorHeapPerCustomer replays feed into a fresh Monitor, closing through
-// the previous window at every month advance and discarding the alerts,
-// and returns the live heap the monitor holds per tracked customer: heap in
-// use after a GC, minus the same reading taken before the monitor existed.
-func monitorHeapPerCustomer(tb testing.TB, cfg stream.Config, feed []heapProbeEvent) float64 {
+// replayHeapProbe replays feed into a fresh Monitor, closing through the
+// previous window at every month advance and discarding the alerts.
+func replayHeapProbe(tb testing.TB, cfg stream.Config, feed []heapProbeEvent) *stream.Monitor {
 	tb.Helper()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	m, err := stream.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -407,6 +402,19 @@ func monitorHeapPerCustomer(tb testing.TB, cfg stream.Config, feed []heapProbeEv
 			tb.Fatal(err)
 		}
 	}
+	return m
+}
+
+// monitorHeapPerCustomer replays feed into a fresh Monitor, closing through
+// the previous window at every month advance and discarding the alerts,
+// and returns the live heap the monitor holds per tracked customer: heap in
+// use after a GC, minus the same reading taken before the monitor existed.
+func monitorHeapPerCustomer(tb testing.TB, cfg stream.Config, feed []heapProbeEvent) float64 {
+	tb.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := replayHeapProbe(tb, cfg, feed)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(m.Customers())
@@ -429,6 +437,52 @@ func BenchmarkMonitorMemory(b *testing.B) {
 		per = monitorHeapPerCustomer(b, cfg, feed)
 	}
 	b.ReportMetric(per, "B/customer")
+}
+
+// BenchmarkMonitorSnapshot times an SMN1 save and restore of the heap
+// probe's state at 4,000 customers (about 1.1 MB): write/single saves a
+// Monitor, write/shards-4 a 4-shard ShardedMonitor, which parks its shards
+// for the write, and read/shards-4 restores into 4 shards.
+func BenchmarkMonitorSnapshot(b *testing.B) {
+	cfg, feed := heapProbeFeed(b, 4000)
+	m := replayHeapProbe(b, cfg, feed)
+	var snap bytes.Buffer
+	if err := m.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	sharded, err := stream.ReadShardedMonitorSnapshot(bytes.NewReader(snap.Bytes()), cfg, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sharded.Close()
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"write/single", m.WriteSnapshot},
+		{"write/shards-4", sharded.WriteSnapshot},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(snap.Len()))
+			for i := 0; i < b.N; i++ {
+				if err := c.write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("read/shards-4", func(b *testing.B) {
+		b.SetBytes(int64(snap.Len()))
+		for i := 0; i < b.N; i++ {
+			s, err := stream.ReadShardedMonitorSnapshot(bytes.NewReader(snap.Bytes()), cfg, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- population engine ---

@@ -3,10 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"github.com/gautrais/stability"
+	"github.com/gautrais/stability/internal/faultfs"
 	"github.com/gautrais/stability/internal/population"
 	"github.com/gautrais/stability/internal/report"
 )
@@ -345,31 +347,7 @@ func extendFile(path string, ds *stability.SampleDataset, months, workers int) e
 // error) truncates the file back to its original size, so the dataset is
 // never left with a half-written trailing segment.
 func appendDeltaTo(path string, cur, prev *stability.Store) error {
-	return appendOrRestore(path, func(f *os.File) error {
-		return stability.ReceiptFormatForPath(path).WriteDelta(f, cur, prev)
+	return faultfs.AppendOrRestore(faultfs.OS{}, path, func(w io.Writer) error {
+		return stability.ReceiptFormatForPath(path).WriteDelta(w, cur, prev)
 	})
-}
-
-// appendOrRestore opens path for appending, runs fn, and on any failure
-// truncates the file back to its pre-append size before reporting the
-// error.
-func appendOrRestore(path string, fn func(*os.File) error) error {
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		os.Truncate(path, info.Size())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Truncate(path, info.Size())
-		return err
-	}
-	return nil
 }

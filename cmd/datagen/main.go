@@ -11,12 +11,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"github.com/gautrais/stability"
+	"github.com/gautrais/stability/internal/faultfs"
 )
 
 func main() {
@@ -136,25 +138,17 @@ func run(args []string) error {
 		}
 	}
 
-	appendDelta := func(name string, fn func(*os.File) error) error {
+	// A failed append (disk full, codec error) restores the original size,
+	// so the file never keeps a half-written trailing segment.
+	appendDelta := func(name string, fn func(io.Writer) error) error {
 		path := filepath.Join(*outDir, name)
-		before, err := os.Stat(path)
+		err := faultfs.AppendOrRestore(faultfs.OS{}, path, func(w io.Writer) error {
+			if err := fn(w); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			return err
-		}
-		// A failed append (disk full, codec error) restores the original
-		// size, so the file never keeps a half-written trailing segment.
-		if err := fn(f); err != nil {
-			f.Close()
-			os.Truncate(path, before.Size())
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			os.Truncate(path, before.Size())
 			return err
 		}
 		info, err := os.Stat(path)
@@ -188,7 +182,7 @@ func run(args []string) error {
 
 	for _, sf := range wanted {
 		if prev != nil {
-			err = appendDelta(sf.File, func(f *os.File) error { return sf.WriteDelta(f, ds.Store, prev) })
+			err = appendDelta(sf.File, func(w io.Writer) error { return sf.WriteDelta(w, ds.Store, prev) })
 		} else {
 			err = write(sf.File, func(f *os.File) error { return sf.Write(f, ds.Store) })
 		}

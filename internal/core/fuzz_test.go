@@ -10,7 +10,9 @@ import (
 )
 
 // FuzzReadTrackerSnapshot asserts the snapshot reader never panics on
-// corrupt input and that accepted snapshots re-serialize consistently.
+// corrupt input and that accepted snapshots re-serialize consistently: the
+// append encoder writes the reference writer's bytes (persist_ref_test.go),
+// also after a prefix, and they read back to the same state.
 func FuzzReadTrackerSnapshot(f *testing.F) {
 	tr, _ := NewTracker(Options{Alpha: 2})
 	tr.Observe(basket(1, 2, 3))
@@ -31,9 +33,18 @@ func FuzzReadTrackerSnapshot(f *testing.F) {
 		if err := restored.Options().Validate(); err != nil {
 			t.Fatalf("restored tracker has invalid options: %v", err)
 		}
-		var out bytes.Buffer
+		var out, ref bytes.Buffer
 		if err := restored.WriteSnapshot(&out); err != nil {
 			t.Fatalf("re-serialize: %v", err)
+		}
+		if err := restored.st.WriteSnapshot(restored.sc.opts, &ref); err != nil {
+			t.Fatalf("reference re-serialize: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			t.Fatalf("append encoder wrote %x, reference writer %x", out.Bytes(), ref.Bytes())
+		}
+		if got := restored.st.AppendSnapshot([]byte("prefix"), restored.sc.opts); !bytes.Equal(got, append([]byte("prefix"), out.Bytes()...)) {
+			t.Fatalf("AppendSnapshot after a prefix wrote %x", got)
 		}
 		again, err := ReadTrackerSnapshot(&out)
 		if err != nil {

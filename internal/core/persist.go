@@ -28,74 +28,43 @@ import (
 // across restarts without replaying the full receipt history.
 var trackerMagic = [4]byte{'S', 'T', 'K', '1'}
 
-// WriteSnapshot serializes the tracker's full state.
-func (t *Tracker) WriteSnapshot(w io.Writer) error { return t.st.WriteSnapshot(t.sc.opts, w) }
+// WriteSnapshot serializes the tracker's full state in one Write.
+func (t *Tracker) WriteSnapshot(w io.Writer) error {
+	_, err := w.Write(t.st.AppendSnapshot(nil, t.sc.opts))
+	return err
+}
 
-// WriteSnapshot serializes the state as the snapshot of a tracker with
-// options opts: the bytes Tracker.WriteSnapshot writes for that tracker.
-func (s *State) WriteSnapshot(opts Options, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(trackerMagic[:]); err != nil {
-		return fmt.Errorf("core: write magic: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putF := func(v float64) error {
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(v))
-		_, err := bw.Write(buf[:8])
-		return err
-	}
-	putB := func(v bool) error {
-		b := byte(0)
-		if v {
-			b = 1
-		}
-		return bw.WriteByte(b)
-	}
-	if err := putF(opts.Alpha); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(opts.Policy)); err != nil {
-		return err
-	}
-	if err := putU(uint64(opts.MaxBlame)); err != nil {
-		return err
-	}
-	if err := putU(uint64(s.windows)); err != nil {
-		return err
-	}
-	if err := putB(s.started); err != nil {
-		return err
-	}
-	if err := putU(uint64(s.seq)); err != nil {
-		return err
-	}
-	if err := putB(s.prevDefined); err != nil {
-		return err
-	}
-	if err := putF(s.prevStability); err != nil {
-		return err
-	}
-	if err := putU(uint64(len(s.items))); err != nil {
-		return err
-	}
+// AppendSnapshot appends the state, encoded as the snapshot of a tracker
+// with options opts, to b and returns the extended slice: the bytes
+// Tracker.WriteSnapshot writes for that tracker.
+func (s *State) AppendSnapshot(b []byte, opts Options) []byte {
+	b = append(b, trackerMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(opts.Alpha))
+	b = append(b, byte(opts.Policy))
+	b = binary.AppendUvarint(b, uint64(opts.MaxBlame))
+	b = binary.AppendUvarint(b, uint64(s.windows))
+	b = appendBool(b, s.started)
+	b = binary.AppendUvarint(b, uint64(s.seq))
+	b = appendBool(b, s.prevDefined)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.prevStability))
+	b = binary.AppendUvarint(b, uint64(len(s.items)))
 	// The item column is maintained in ascending id order — exactly the
 	// snapshot's wire order.
 	prev := uint64(0)
 	for i, id := range s.items {
-		if err := putU(uint64(id) - prev); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(id)-prev)
 		prev = uint64(id)
-		if err := putU(uint64(s.counts[i])); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(s.counts[i]))
 	}
-	return bw.Flush()
+	return b
+}
+
+// appendBool appends v as one byte, 0 or 1.
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // ReadTrackerSnapshot restores a tracker from a snapshot written by

@@ -106,6 +106,30 @@ func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
 	return fsys.Rename(tmp, path)
 }
 
+// AppendOrRestore appends to the existing file path: write gets the file
+// opened for appending, and when write or the close fails the file is cut
+// back to its size before the call, so a failed append never leaves a
+// half-written tail. The cut is best effort and nothing is synced: a
+// caller that must survive a failed cut, or a crash, repairs on its own.
+func AppendOrRestore(fsys FS, path string, write func(io.Writer) error) error {
+	info, err := fsys.Stat(path)
+	if err != nil {
+		return err
+	}
+	f, err := fsys.OpenAppend(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Truncate(path, info.Size())
+	}
+	return err
+}
+
 // Op names one interceptable filesystem operation.
 type Op string
 

@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -227,5 +228,40 @@ func TestInjectorCrashAtByteZero(t *testing.T) {
 	f.Close()
 	if got := readAll(t, path); len(got) != 0 {
 		t.Fatalf("crash at byte 0 left %d bytes", len(got))
+	}
+}
+
+// TestAppendOrRestore: a clean append lands whole; an append whose second
+// write fails under the Injector returns that error and leaves the file
+// with its old size and bytes.
+func TestAppendOrRestore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.stb")
+	if err := os.WriteFile(path, []byte("head"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := NewInjector(OS{})
+	write := func(w io.Writer) error {
+		for _, part := range []string{"-one", "-two"} {
+			if _, err := w.Write([]byte(part)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := AppendOrRestore(in, path, write); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(readAll(t, path)); got != "head-one-two" {
+		t.Fatalf("content %q after a clean append", got)
+	}
+	in.Arm(Failpoint{Op: OpWrite, PathSuffix: ".stb", CountDown: 1})
+	if err := AppendOrRestore(in, path, write); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failed append returned %v, want ErrInjected", err)
+	}
+	if in.Fired() != 1 {
+		t.Fatalf("fired = %d, want 1", in.Fired())
+	}
+	if got := string(readAll(t, path)); got != "head-one-two" {
+		t.Fatalf("content %q after a failed append, want the old bytes", got)
 	}
 }

@@ -52,9 +52,6 @@ type Config struct {
 	// FlushInterval is the alert-delivery liveness barrier period; 0
 	// disables it.
 	FlushInterval time.Duration
-	// LongPollMax caps the ?wait= duration of GET /v1/alerts; <= 0 means
-	// 30s.
-	LongPollMax time.Duration
 	// SSEHeartbeat is the SSE keep-alive comment period; <= 0 means 15s.
 	SSEHeartbeat time.Duration
 	// WriteDeadline bounds each response write; <= 0 means 1m. It replaces
@@ -87,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.LongPollMax <= 0 {
-		c.LongPollMax = 30 * time.Second
 	}
 	if c.SSEHeartbeat <= 0 {
 		c.SSEHeartbeat = 15 * time.Second
@@ -327,6 +321,9 @@ func (s *Server) handleStabilityBatch(w http.ResponseWriter, r *http.Request) in
 // are clamped so a single poll response stays bounded.
 const maxAlertsPerPoll = 100000
 
+// longPollMax caps the ?wait= duration of GET /v1/alerts.
+const longPollMax = 30 * time.Second
+
 // handleAlerts implements GET /v1/alerts: a single poll by default, a
 // long-poll with ?wait=, or an SSE stream with ?stream=sse (or Accept:
 // text/event-stream). Clients resume with ?after=<last seq>.
@@ -354,9 +351,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) int {
 		if err != nil {
 			return writeError(w, http.StatusBadRequest, "invalid wait: %v", err)
 		}
-		if wait > s.cfg.LongPollMax {
-			wait = s.cfg.LongPollMax
-		}
+		wait = min(wait, longPollMax)
 	}
 	batch, oldest, changed := s.ing.AlertsSince(after, int(max))
 	if len(batch) == 0 && wait > 0 {

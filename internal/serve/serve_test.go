@@ -444,6 +444,9 @@ func TestServerIngestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: status %d, want 413", resp.StatusCode)
+	}
 
 	if code := getJSON(t, ts.URL, "/v1/receipts", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET on POST route: status %d, want 405", code)

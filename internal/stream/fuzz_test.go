@@ -18,7 +18,8 @@ import (
 // FuzzReadMonitorSnapshot feeds the SMN1 reader arbitrary bytes. It must
 // return an error, never panic or run out of memory, and a snapshot it
 // accepts must be stable under a round trip: written with WriteSnapshot,
-// read back and written again, it gives the same bytes both times.
+// read back and written again, it gives the same bytes both times, and
+// the reference writer (persist_ref_test.go) gives them too.
 func FuzzReadMonitorSnapshot(f *testing.F) {
 	g, err := window.NewGrid(time.Date(2012, time.May, 1, 0, 0, 0, 0, time.UTC), window.Span{Months: 2})
 	if err != nil {
@@ -61,9 +62,15 @@ func FuzzReadMonitorSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var first, second bytes.Buffer
+		var first, second, ref bytes.Buffer
 		if err := m.WriteSnapshot(&first); err != nil {
 			t.Fatalf("write an accepted snapshot: %v", err)
+		}
+		if err := writeStatesRef(&ref, cfg, []map[retail.CustomerID]*custState{m.states}); err != nil {
+			t.Fatalf("reference write: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), ref.Bytes()) {
+			t.Fatalf("append encoder wrote %x, reference writer %x", first.Bytes(), ref.Bytes())
 		}
 		again, err := ReadMonitorSnapshot(bytes.NewReader(first.Bytes()), cfg)
 		if err != nil {

@@ -41,60 +41,20 @@ func (m *Monitor) WriteSnapshot(w io.Writer) error {
 	return writeStates(w, m.cfg, []map[retail.CustomerID]*custState{m.states})
 }
 
-// snapshotWriter streams the SMN1 encoding state by state: the header is
-// written on construction, then writeState once per customer in ascending
-// id order, then flush. Splitting the writer from the iteration lets the
-// sharded monitor stream its per-shard maps through a k-way id merge
-// without first materializing one merged state map.
-type snapshotWriter struct {
-	w   io.Writer
-	bw  *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
+// appendHeader appends the SMN1 header (magic, grid, customer count).
+func appendHeader(b []byte, grid window.Grid, customers int) []byte {
+	b = append(b, monitorMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(grid.Origin().Unix()))
+	b = binary.AppendUvarint(b, uint64(grid.Span().Months))
+	return binary.AppendUvarint(b, uint64(customers))
 }
 
-func (sw *snapshotWriter) putU(v uint64) error {
-	n := binary.PutUvarint(sw.buf[:], v)
-	_, err := sw.bw.Write(sw.buf[:n])
-	return err
-}
-
-func (sw *snapshotWriter) putI(v int64) error {
-	n := binary.PutVarint(sw.buf[:], v)
-	_, err := sw.bw.Write(sw.buf[:n])
-	return err
-}
-
-// newSnapshotWriter writes the SMN1 header (magic, grid, customer count).
-func newSnapshotWriter(w io.Writer, grid window.Grid, customers int) (*snapshotWriter, error) {
-	sw := &snapshotWriter{w: w, bw: bufio.NewWriter(w)}
-	if _, err := sw.bw.Write(monitorMagic[:]); err != nil {
-		return nil, fmt.Errorf("stream: write magic: %w", err)
-	}
-	binary.LittleEndian.PutUint64(sw.buf[:8], uint64(grid.Origin().Unix()))
-	if _, err := sw.bw.Write(sw.buf[:8]); err != nil {
-		return nil, err
-	}
-	if err := sw.putU(uint64(grid.Span().Months)); err != nil {
-		return nil, err
-	}
-	if err := sw.putU(uint64(customers)); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// writeState encodes one customer's state, including the embedded tracker
+// appendState appends one customer's state, including the embedded tracker
 // snapshot; model is the monitor's tracker options.
-func (sw *snapshotWriter) writeState(id retail.CustomerID, st *custState, model core.Options) error {
-	if err := sw.putU(uint64(id)); err != nil {
-		return err
-	}
-	if err := sw.putI(int64(st.openK)); err != nil {
-		return err
-	}
-	if err := sw.putI(int64(st.lastScoredK)); err != nil {
-		return err
-	}
+func appendState(b []byte, id retail.CustomerID, st *custState, model core.Options) []byte {
+	b = binary.AppendUvarint(b, uint64(id))
+	b = binary.AppendVarint(b, int64(st.openK))
+	b = binary.AppendVarint(b, int64(st.lastScoredK))
 	flags := byte(4) // bit2: lastActiveK always written since the retention horizon landed
 	if st.lastDefined {
 		flags |= 1
@@ -102,36 +62,21 @@ func (sw *snapshotWriter) writeState(id retail.CustomerID, st *custState, model 
 	if st.scored {
 		flags |= 2
 	}
-	if err := sw.bw.WriteByte(flags); err != nil {
-		return err
-	}
-	if err := sw.putI(int64(st.lastActiveK)); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(sw.buf[:8], math.Float64bits(st.lastStability))
-	if _, err := sw.bw.Write(sw.buf[:8]); err != nil {
-		return err
-	}
-	if err := sw.putU(uint64(len(st.pending))); err != nil {
-		return err
-	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, int64(st.lastActiveK))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.lastStability))
+	b = binary.AppendUvarint(b, uint64(len(st.pending)))
 	prev := uint64(0)
 	for _, it := range st.pending {
-		if err := sw.putU(uint64(it) - prev); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(it)-prev)
 		prev = uint64(it)
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return err
-	}
-	if err := st.tracker.WriteSnapshot(model, sw.w); err != nil {
-		return fmt.Errorf("stream: customer %d tracker: %w", id, err)
-	}
-	return nil
+	return st.tracker.AppendSnapshot(b, model)
 }
 
-func (sw *snapshotWriter) flush() error { return sw.bw.Flush() }
+// snapshotChunk is how many encoded bytes writeStates collects before it
+// hands them to the writer; the customer that passes it ends the chunk.
+const snapshotChunk = 32 << 10
 
 // sortedStateIDs returns a state map's customer ids ascending.
 func sortedStateIDs(states map[retail.CustomerID]*custState) []retail.CustomerID {
@@ -146,10 +91,13 @@ func sortedStateIDs(states map[retail.CustomerID]*custState) []retail.CustomerID
 
 // writeStates streams the SMN1 encoding of disjoint customer-state maps
 // (one per shard, or a Monitor's single map) by merging their sorted id
-// lists on the fly — customer states flow straight from the maps to the
-// writer, with no merged intermediate map. The partition is disjoint, so
-// the merged walk is the global ascending id order: the bytes depend only
-// on the logical state, never on the shard count or monitor flavor.
+// lists on the fly — customer states flow straight from the maps into one
+// append buffer, with no merged intermediate map, and the buffer goes to w
+// each time it holds snapshotChunk bytes, so a snapshot of any size
+// streams through a buffer bounded by snapshotChunk plus one customer. The
+// partition is disjoint, so the merged walk is the global ascending id
+// order: the bytes depend only on the logical state, never on the shard
+// count or monitor flavor. The first write error ends the writing.
 func writeStates(w io.Writer, cfg Config, shardStates []map[retail.CustomerID]*custState) error {
 	total := 0
 	heads := make([][]retail.CustomerID, len(shardStates))
@@ -157,10 +105,9 @@ func writeStates(w io.Writer, cfg Config, shardStates []map[retail.CustomerID]*c
 		total += len(states)
 		heads[i] = sortedStateIDs(states)
 	}
-	sw, err := newSnapshotWriter(w, cfg.Grid, total)
-	if err != nil {
-		return err
-	}
+	// The headroom takes the customer that passes snapshotChunk, unless
+	// their repertoire is unusually large.
+	buf := appendHeader(make([]byte, 0, snapshotChunk+4<<10), cfg.Grid, total)
 	for {
 		// Pick the shard whose next id is smallest; the shard count is an
 		// operational handful, so a linear scan beats heap bookkeeping.
@@ -176,13 +123,18 @@ func writeStates(w io.Writer, cfg Config, shardStates []map[retail.CustomerID]*c
 		if best < 0 {
 			break
 		}
+		if len(buf) >= snapshotChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 		id := heads[best][0]
 		heads[best] = heads[best][1:]
-		if err := sw.writeState(id, shardStates[best][id], cfg.Model); err != nil {
-			return err
-		}
+		buf = appendState(buf, id, shardStates[best][id], cfg.Model)
 	}
-	return sw.flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadMonitorSnapshot restores a monitor persisted by WriteSnapshot (either

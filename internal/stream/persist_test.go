@@ -3,7 +3,9 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -310,5 +312,85 @@ func TestSnapshotWatermarkMatchesRestore(t *testing.T) {
 		if check(fmt.Sprintf("ids %v", ids), buf.Bytes(), cfg) == nil {
 			t.Fatalf("snapshot with ids %v restored", ids)
 		}
+	}
+}
+
+// snapshotLastK is the last window snapshotPopulation closes: the feed's
+// last window, 12, stays open, so pending baskets ride along.
+const snapshotLastK = 11
+
+// snapshotPopulation replays an attrition feed of the given customers into
+// a Monitor, closing through the previous window at every window advance
+// and at the end through snapshotLastK.
+func snapshotPopulation(t *testing.T, customers int) (Config, []feedEvent, *Monitor) {
+	t.Helper()
+	cfg := testConfig(t, 0.7)
+	cfg.Model.MaxBlame = 3
+	feed, _ := attritionFeed(t, 26, customers, snapshotLastK+1, 3)
+	_, m := replaySingle(t, cfg, feed, snapshotLastK)
+	return cfg, feed, m
+}
+
+// failingWriter accepts every Write but the fail-th (1-based), which
+// returns err, and counts the calls.
+type failingWriter struct {
+	fail, calls int
+	err         error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls == w.fail {
+		return 0, w.err
+	}
+	return len(p), nil
+}
+
+// TestWriteSnapshotMatchesReference: the append encoder writes the
+// reference writer's bytes (persist_ref_test.go) for a Monitor and for a
+// ShardedMonitor at shards {1, 2, 4, 8}, both while the shards run and
+// after Close, on a population whose SMN1 spans several chunks. A writer
+// that fails on its k-th Write, in the first chunk or a middle one, gets
+// that error back and sees no further Write.
+func TestWriteSnapshotMatchesReference(t *testing.T) {
+	cfg, feed, m := snapshotPopulation(t, 3000)
+	var want bytes.Buffer
+	if err := writeStatesRef(&want, cfg, []map[retail.CustomerID]*custState{m.states}); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() < 4*snapshotChunk {
+		t.Fatalf("snapshot is %d bytes, want several %d-byte chunks", want.Len(), snapshotChunk)
+	}
+	check := func(name string, write func(io.Writer) error) {
+		t.Helper()
+		var got bytes.Buffer
+		if err := write(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %d bytes differ from the reference writer's %d", name, got.Len(), want.Len())
+		}
+		count := &failingWriter{}
+		if err := write(count); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, k := range []int{1, count.calls / 2} {
+			fw := &failingWriter{fail: k, err: fmt.Errorf("write %d refused", k)}
+			if err := write(fw); !errors.Is(err, fw.err) {
+				t.Fatalf("%s: write %d of %d failed, WriteSnapshot returned %v", name, k, count.calls, err)
+			}
+			if fw.calls != k {
+				t.Fatalf("%s: write %d of %d failed, then %d more writes", name, k, count.calls, fw.calls-k)
+			}
+		}
+	}
+	check("monitor", m.WriteSnapshot)
+	for _, shards := range []int{1, 2, 4, 8} {
+		_, s := replaySharded(t, cfg, shards, feed, snapshotLastK)
+		check(fmt.Sprintf("shards-%d", shards), s.WriteSnapshot)
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("shards-%d closed", shards), s.WriteSnapshot)
 	}
 }
